@@ -40,7 +40,6 @@ from .families import (
     cycle_power,
     embed_circular_in_kneser,
     enumerate_stable_subsets,
-    is_s_stable,
     kneser,
     parse_family_spec,
     prop_iso_images,

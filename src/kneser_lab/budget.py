@@ -63,6 +63,14 @@ class BudgetClock:
     def elapsed(self) -> float:
         return time.monotonic() - self._t0
 
+    def remaining(self) -> SearchBudget:
+        """What is left of the budget, for a sub-search that keeps its own
+        clock; the caller adds the nodes it spends to `nodes`."""
+        return SearchBudget(
+            None if self.node_limit is None else max(0, self.node_limit - self.nodes),
+            None if self.time_limit is None else max(0.0, self.time_limit - self.elapsed()),
+        )
+
     def tick(self, count: int = 1) -> None:
         self.nodes += count
         if self.node_limit is not None and self.nodes > self.node_limit:

@@ -167,7 +167,3 @@ CLAIMS = {
         "provenance": "conjecture",
     },
 }
-
-
-def claim_info(claim_id: str) -> dict:
-    return CLAIMS[claim_id]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .budget import BudgetClock, SearchBudget, resolve_budget
+from .budget import BudgetClock, BudgetExhausted, SearchBudget, resolve_budget
 from .cliques import _max_clique
 from .families import FamilySpec
 from .graphs import Graph, delete_vertex, iter_bits
@@ -107,12 +107,25 @@ class CriticalityReport:
 
 
 def is_chi_critical(g: Graph, budget: SearchBudget | None = None) -> CriticalityReport:
-    """Vertex-criticality: does deleting any single vertex lower the chromatic number?"""
-    base = chromatic_number(g, budget).chi
+    """Vertex-criticality: does deleting any single vertex lower the chromatic number?
+
+    All g.order + 1 chromatic numbers share one budget.
+    """
+    clock = resolve_budget(budget).start()
+
+    def chi(graph: Graph) -> int:
+        try:
+            result = chromatic_number(graph, clock.remaining())
+        except BudgetExhausted as stop:
+            raise BudgetExhausted(clock.nodes + stop.nodes, clock.elapsed()) from None
+        clock.nodes += result.nodes
+        return result.chi
+
+    base = chi(g)
     per_vertex = []
     witness = None
     for v in range(g.order):
-        sub = chromatic_number(delete_vertex(g, v), budget).chi
+        sub = chi(delete_vertex(g, v))
         if sub not in (base - 1, base):
             raise RuntimeError(f"chi({v} deleted) = {sub} breaks monotonicity from {base}")
         per_vertex.append(sub)

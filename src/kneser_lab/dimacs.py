@@ -45,15 +45,19 @@ def dimacs_loads(text: str) -> Graph:
             parts = line.split()
             if len(parts) < 4 or parts[1] != "edge":
                 raise GraphError(f"malformed problem line: {line!r}")
-            order = int(parts[2])
+            order, declared = int(parts[2]), int(parts[3])
             continue
         if line.startswith("e"):
             if order is None:
                 raise GraphError("edge line before the problem line")
             parts = line.split()
+            if len(parts) < 3:
+                raise GraphError(f"edge line needs two endpoints: {line!r}")
             edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
     if order is None:
         raise GraphError("missing 'p edge' header")
+    if len(edges) != declared:
+        raise GraphError(f"problem line declares {declared} edges, found {len(edges)}")
     lab_tuple = None
     if labels:
         if sorted(labels) != list(range(order)):

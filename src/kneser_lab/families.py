@@ -18,11 +18,6 @@ from .labels import CyclicElem, KSubset
 from .modn import mod1
 
 
-def is_s_stable(v: KSubset, s: int) -> bool:
-    """True when all elements of v are pairwise at circular distance >= s."""
-    return v.is_stable(s)
-
-
 def enumerate_stable_subsets(n: int, k: int, s: int) -> list[KSubset]:
     """All s-stable k-subsets of [n], lexicographically ordered."""
     if k < 1 or s < 1 or n < k * s:

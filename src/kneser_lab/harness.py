@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import coloring, dihedral, homsolver
-from .budget import BudgetExhausted, SearchBudget
+from .budget import BudgetExhausted, SearchBudget, resolve_budget
 from .claims import CLAIMS
 from .cliques import independence_number
 from .families import (
@@ -67,8 +67,20 @@ class VerificationReport:
         }
 
 
-def _report(claim_id, params, expected, computed, evidence=None, seconds=0.0, exhausted=False):
+def _row(claim_id, params, expected, check) -> VerificationReport:
+    """Time check() and grade the (computed, evidence) pair it returns.
+
+    This is the only place a suite turns solver results into a status: a
+    raised BudgetExhausted or a returned "exhausted" status becomes an
+    exhausted row, otherwise the row passes only when computed == expected.
+    """
     info = CLAIMS[claim_id]
+    t0 = time.monotonic()
+    try:
+        computed, evidence = check()
+        exhausted = computed == "exhausted"
+    except BudgetExhausted as stop:
+        computed, evidence, exhausted = None, {"nodes": stop.nodes}, True
     if exhausted:
         status = "exhausted"
     else:
@@ -80,8 +92,8 @@ def _report(claim_id, params, expected, computed, evidence=None, seconds=0.0, ex
         computed=computed,
         provenance=info["provenance"],
         status=status,
-        evidence=evidence or {},
-        seconds=seconds,
+        evidence=evidence,
+        seconds=time.monotonic() - t0,
         conjecture=info["provenance"] == "conjecture",
     )
 
@@ -114,44 +126,30 @@ def run_shift_grid(
     for k in k_values:
         for s in s_values:
             for n in range(s * k + 1, min((k + 2) * s, n_cap) + 1):
-                t0 = time.monotonic()
                 g = stable_kneser(n, k, s)
-                brute = dihedral.enumerate_shifts(g)
-                predicted = dihedral.predicted_shifts(n, k, s)
                 params = {"n": n, "k": k, "s": s}
-                reports.append(
-                    _report(
-                        "shift-grid",
-                        params,
-                        expected=list(predicted.texts()),
-                        computed=list(brute.texts()),
-                        evidence={"order": g.order},
-                        seconds=time.monotonic() - t0,
-                    )
-                )
-                t0 = time.monotonic()
-                bad = []
-                example = ""
-                for e in dihedral.all_elements(n):
-                    if e.is_rotation:
-                        continue
-                    moved, _ = dihedral.is_shift(e, g)
-                    if moved:
-                        bad.append(str(e))
-                        continue
-                    witness = dihedral.non_shift_witness(e, n, k, s)
-                    if not example:
-                        example = f"{e}: {witness}"
-                reports.append(
-                    _report(
-                        "shift-reflexion-witness",
-                        params,
-                        expected=[],
-                        computed=bad,
-                        evidence={"example": example, "reflexions": n},
-                        seconds=time.monotonic() - t0,
-                    )
-                )
+
+                def shifts():
+                    return list(dihedral.enumerate_shifts(g).texts()), {"order": g.order}
+
+                def reflexions():
+                    bad = []
+                    example = ""
+                    for e in dihedral.all_elements(n):
+                        if e.is_rotation:
+                            continue
+                        moved, _ = dihedral.is_shift(e, g)
+                        if moved:
+                            bad.append(str(e))
+                            continue
+                        witness = dihedral.non_shift_witness(e, n, k, s)
+                        if not example:
+                            example = f"{e}: {witness}"
+                    return bad, {"example": example, "reflexions": n}
+
+                predicted = list(dihedral.predicted_shifts(n, k, s).texts())
+                reports.append(_row("shift-grid", params, predicted, shifts))
+                reports.append(_row("shift-reflexion-witness", params, [], reflexions))
     return _sort_reports(reports)
 
 
@@ -166,29 +164,15 @@ def run_count_grid(k_values=None, s_values=None, manifest=None) -> list[Verifica
     for k in k_values:
         for s in s_values:
             n = k * s + 1
-            t0 = time.monotonic()
             g = stable_kneser(n, k, s)
             params = {"k": k, "s": s}
-            reports.append(
-                _report(
-                    "count-vertices",
-                    params,
-                    expected=n,
-                    computed=g.order,
-                    seconds=time.monotonic() - t0,
-                )
-            )
             want = sorted([s] * (k - 1) + [s + 1])
-            bad = [str(v) for v in g.labels if sorted(v.gaps()) != want]
-            reports.append(
-                _report(
-                    "gap-structure",
-                    params,
-                    expected=[],
-                    computed=bad,
-                    evidence={"order": g.order},
-                )
-            )
+
+            def gaps():
+                return [str(v) for v in g.labels if sorted(v.gaps()) != want], {"order": g.order}
+
+            reports.append(_row("count-vertices", params, n, lambda: (g.order, {})))
+            reports.append(_row("gap-structure", params, [], gaps))
     return _sort_reports(reports)
 
 
@@ -200,33 +184,19 @@ def run_prop_iso(k_values=None, s_values=None, manifest=None) -> list[Verificati
     for k in k_values:
         for s in s_values:
             params = {"k": k, "s": s}
-            t0 = time.monotonic()
             source = circular_graph(k * s + 1, k)
             target = stable_kneser(k * s + 1, k, s)
             mapping = prop_iso_map(k, s)
-            ok = verify_isomorphism(source, target, mapping)
-            reports.append(
-                _report(
-                    "iso-map",
-                    params,
-                    expected=True,
-                    computed=ok,
-                    evidence={"map": list(mapping)},
-                    seconds=time.monotonic() - t0,
-                )
-            )
-            t0 = time.monotonic()
-            found = are_isomorphic(source, target)
-            reports.append(
-                _report(
-                    "iso-search",
-                    params,
-                    expected=True,
-                    computed=found is not None,
-                    evidence={"map": list(found) if found else None},
-                    seconds=time.monotonic() - t0,
-                )
-            )
+
+            def check_map():
+                return verify_isomorphism(source, target, mapping), {"map": list(mapping)}
+
+            def search():
+                found = are_isomorphic(source, target)
+                return found is not None, {"map": list(found) if found else None}
+
+            reports.append(_row("iso-map", params, True, check_map))
+            reports.append(_row("iso-search", params, True, search))
     return _sort_reports(reports)
 
 
@@ -280,138 +250,68 @@ def run_chi_suite(budget=None, manifest=None) -> list[VerificationReport]:
     reports = []
     for inst in man["chi_instances"]:
         spec = parse_family_spec(inst["spec"])
-        expected = inst["chi"]
-        params = {"spec": spec.text}
-        t0 = time.monotonic()
-        g = spec.build()
         formula = coloring.closed_form_chi(spec)
         if formula.conjectural:
-            raise RuntimeError(f"suite instance {spec.text} has no proven closed form")
-        try:
+            raise ValueError(f"suite instance {spec.text} has no proven closed form")
+        if formula.value != inst["chi"]:
+            raise ValueError(
+                f"suite instance {spec.text} lists chi={inst['chi']}, "
+                f"but the closed form gives {formula.value}"
+            )
+        params = {"spec": spec.text}
+        g = spec.build()
+
+        def exact():
             result = coloring.chromatic_number(g, budget)
-        except BudgetExhausted as stop:
-            reports.append(
-                _report(
-                    "chi-exact",
-                    params,
-                    expected,
-                    None,
-                    evidence={"nodes": stop.nodes},
-                    seconds=time.monotonic() - t0,
-                    exhausted=True,
-                )
+            cert = homsolver.certificate(
+                "coloring", data=result.coloring, source=g, verified=True, nodes=result.nodes
             )
-            continue
-        cert = homsolver.certificate(
-            "coloring",
-            data=result.coloring,
-            source=g,
-            verified=True,
-            nodes=result.nodes,
-        )
-        evidence = {
-            "formula": formula.value,
-            "formula_rule": formula.rule,
-            "coloring": cert,
-            "clique_bound": len(result.clique),
-        }
-        computed = result.chi if formula.value == expected else f"formula={formula.value}"
-        reports.append(
-            _report(
-                "chi-exact",
-                params,
-                expected,
-                computed,
-                evidence=evidence,
-                seconds=time.monotonic() - t0,
-            )
-        )
-        if "critical" in inst:
-            t0 = time.monotonic()
-            try:
-                audit = coloring.is_chi_critical(g, budget)
-            except BudgetExhausted as stop:
-                reports.append(
-                    _report(
-                        "chi-critical" if inst["critical"] else "chi-not-critical",
-                        params,
-                        inst["critical"],
-                        None,
-                        evidence={"nodes": stop.nodes},
-                        seconds=time.monotonic() - t0,
-                        exhausted=True,
-                    )
-                )
-                continue
-            claim = "chi-critical" if inst["critical"] else "chi-not-critical"
+            return result.chi, {
+                "formula": formula.value,
+                "formula_rule": formula.rule,
+                "coloring": cert,
+                "clique_bound": len(result.clique),
+            }
+
+        def criticality():
+            audit = coloring.is_chi_critical(g, budget)
             evidence = {"per_vertex": list(audit.per_vertex)}
             if audit.witness is not None:
                 evidence["witness_vertex"] = audit.witness
                 if g.labels:
                     evidence["witness_label"] = str(g.labels[audit.witness])
-            reports.append(
-                _report(
-                    claim,
-                    params,
-                    inst["critical"],
-                    audit.critical,
-                    evidence=evidence,
-                    seconds=time.monotonic() - t0,
-                )
-            )
+            return audit.critical, evidence
+
+        reports.append(_row("chi-exact", params, inst["chi"], exact))
+        if "critical" in inst:
+            claim = "chi-critical" if inst["critical"] else "chi-not-critical"
+            reports.append(_row(claim, params, inst["critical"], criticality))
     for s in man["chi_lower_bound_s"]:
         n = 2 * s + 2
-        params = {"n": n, "k": 2, "s": s}
-        t0 = time.monotonic()
         g = stable_kneser(n, 2, s)
         block_s, block_t = stable_pair_sets(s)
         index = g.label_index()
-        chosen = [index[v] for v in block_s] + [index[block_t[0]], index[block_t[1]]]
-        sub = induced_subgraph(g, chosen)
-        try:
-            result = coloring.chromatic_number(sub, budget)
-        except BudgetExhausted as stop:
-            reports.append(
-                _report(
-                    "chi-lower-bound",
-                    params,
-                    s + 2,
-                    None,
-                    evidence={"nodes": stop.nodes},
-                    seconds=time.monotonic() - t0,
-                    exhausted=True,
-                )
-            )
-            continue
-        reports.append(
-            _report(
-                "chi-lower-bound",
-                params,
-                s + 2,
-                result.chi,
-                evidence={"order": sub.order, "alpha_block_s": independence_number(
-                    induced_subgraph(g, [index[v] for v in block_s])
-                ).size},
-                seconds=time.monotonic() - t0,
-            )
-        )
+        block = [index[v] for v in block_s]
+        sub = induced_subgraph(g, block + [index[block_t[0]], index[block_t[1]]])
+
+        def lower_bound():
+            chi = coloring.chromatic_number(sub, budget).chi
+            alpha = independence_number(induced_subgraph(g, block), budget).size
+            return chi, {"order": sub.order, "alpha_block_s": alpha}
+
+        reports.append(_row("chi-lower-bound", {"n": n, "k": 2, "s": s}, s + 2, lower_bound))
     return _sort_reports(reports)
 
 
-# cores
+# cores and refuting searches
 
 
-def run_core_suite(budget=None, manifest=None) -> list[VerificationReport]:
-    man = manifest or load_manifest()
-    reports = []
-    for inst in man["core_instances"]:
-        spec = parse_family_spec(inst["spec"])
-        params = {"spec": spec.text}
-        expected = "core" if inst["core"] else "not-core"
-        t0 = time.monotonic()
-        g = spec.build()
+def _core_row(g, params, expected, budget, **extra) -> VerificationReport:
+    """The core test of g; `extra` holds fixed evidence for the row."""
+
+    def check():
         outcome = homsolver.is_core(g, budget)
-        evidence = {"nodes": outcome.nodes, "order": g.order}
+        evidence = {"nodes": outcome.nodes, **extra}
         if outcome.witness is not None:
             evidence["witness"] = homsolver.certificate(
                 "homomorphism",
@@ -422,17 +322,45 @@ def run_core_suite(budget=None, manifest=None) -> list[VerificationReport]:
                 nodes=outcome.nodes,
             )
             evidence["image_size"] = len(outcome.witness.image())
-        reports.append(
-            _report(
-                "core-status",
-                params,
-                expected,
-                outcome.status,
-                evidence=evidence,
-                seconds=time.monotonic() - t0,
-                exhausted=outcome.status == "exhausted",
-            )
-        )
+        return outcome.status, evidence
+
+    return _row("core-status", params, expected, check)
+
+
+def _none_row(claim_id, params, g, h, budget, **extra) -> VerificationReport:
+    """A homomorphism search g -> h that the claim says finds nothing;
+    `extra` holds fixed evidence for the row."""
+
+    def check():
+        outcome = homsolver.find_homomorphism(g, h, budget)
+        return outcome.status, {"nodes": outcome.nodes, **extra}
+
+    return _row(claim_id, params, "none", check)
+
+
+def _square_row(claim_id, params, g, budget, nodes: int, seconds: float) -> VerificationReport:
+    """The direct search for a map from the cartesian square of g onto g.
+
+    These searches can run for minutes, so the run's budget (explicit or
+    from KNESER_LAB_BUDGET) is capped at the given nodes and seconds.
+    """
+    limits = resolve_budget(budget)
+    capped = SearchBudget(
+        nodes if limits.node_limit is None else min(nodes, limits.node_limit),
+        seconds if limits.time_limit is None else min(seconds, limits.time_limit),
+    )
+    square = cartesian_product(g, g)
+    return _none_row(claim_id, params, square, g, capped, square_order=square.order)
+
+
+def run_core_suite(budget=None, manifest=None) -> list[VerificationReport]:
+    man = manifest or load_manifest()
+    reports = []
+    for inst in man["core_instances"]:
+        spec = parse_family_spec(inst["spec"])
+        g = spec.build()
+        expected = "core" if inst["core"] else "not-core"
+        reports.append(_core_row(g, {"spec": spec.text}, expected, budget, order=g.order))
     return _sort_reports(reports)
 
 
@@ -466,69 +394,29 @@ def _negative_reports(g, s, params, budget, include_square_search):
     """Shared tail of the hom-idempotence negative cases: shift Cayley graph
     shape, chromatic gap, and the exhaustive non-existence search."""
     n = g.labels[0].ambient
-    reports = []
-    t0 = time.monotonic()
     shifts = dihedral.enumerate_shifts(g)
     cay = cayley_dihedral(n, shifts.members)
-    piece = cycle_graph(n) if s == 2 else cycle_power(n, s - 1)
-    two_pieces = disjoint_union(piece, piece)
-    shape = are_isomorphic(cay, two_pieces)
-    reports.append(
-        _report(
-            "homidem-negative-shape",
-            params,
-            expected=True,
-            computed=shape is not None,
-            evidence={
-                "shifts": list(shifts.texts()),
-                "components": [len(c) for c in connected_components(cay)],
-            },
-            seconds=time.monotonic() - t0,
-        )
-    )
-    t0 = time.monotonic()
-    chi_g = coloring.chromatic_number(g, budget).chi
-    chi_cay = coloring.chromatic_number(cay, budget).chi
-    reports.append(
-        _report(
-            "homidem-negative-chi",
-            params,
-            expected=True,
-            computed=chi_cay < chi_g,
-            evidence={"chi_graph": chi_g, "chi_cayley": chi_cay},
-            seconds=time.monotonic() - t0,
-        )
-    )
-    outcome = homsolver.find_homomorphism(g, cay, budget)
-    reports.append(
-        _report(
-            "homidem-negative-search",
-            params,
-            expected="none",
-            computed=outcome.status,
-            evidence={"nodes": outcome.nodes},
-            seconds=outcome.seconds,
-            exhausted=outcome.status == "exhausted",
-        )
-    )
+
+    def shape():
+        piece = cycle_graph(n) if s == 2 else cycle_power(n, s - 1)
+        found = are_isomorphic(cay, disjoint_union(piece, piece))
+        return found is not None, {
+            "shifts": list(shifts.texts()),
+            "components": [len(c) for c in connected_components(cay)],
+        }
+
+    def chi_gap():
+        chi_g = coloring.chromatic_number(g, budget).chi
+        chi_cay = coloring.chromatic_number(cay, budget).chi
+        return chi_cay < chi_g, {"chi_graph": chi_g, "chi_cayley": chi_cay}
+
+    reports = [
+        _row("homidem-negative-shape", params, True, shape),
+        _row("homidem-negative-chi", params, True, chi_gap),
+        _none_row("homidem-negative-search", params, g, cay, budget),
+    ]
     if include_square_search:
-        square = cartesian_product(g, g)
-        capped = SearchBudget(
-            min(2_000_000, (budget or SearchBudget()).node_limit or 2_000_000),
-            min(30.0, (budget or SearchBudget()).time_limit or 30.0),
-        )
-        outcome = homsolver.find_homomorphism(square, g, capped)
-        reports.append(
-            _report(
-                "homidem-square-search",
-                params,
-                expected="none",
-                computed=outcome.status,
-                evidence={"nodes": outcome.nodes, "square_order": square.order},
-                seconds=outcome.seconds,
-                exhausted=outcome.status == "exhausted",
-            )
-        )
+        reports.append(_square_row("homidem-square-search", params, g, budget, 2_000_000, 30.0))
     return reports
 
 
@@ -539,20 +427,13 @@ def run_hom_idempotence_suite(
     reports = []
     for inst in man["hom_positive"]:
         k, s = inst["k"], inst["s"]
-        params = {"k": k, "s": s, "n": k * s + 1}
-        t0 = time.monotonic()
-        square, g, mapping = transported_square_hom(k, s)
-        ok = homsolver.verify_homomorphism(square, g, mapping)
-        reports.append(
-            _report(
-                "homidem-positive",
-                params,
-                expected=True,
-                computed=ok,
-                evidence={"square_order": square.order, "map_size": len(mapping)},
-                seconds=time.monotonic() - t0,
-            )
-        )
+
+        def positive():
+            square, g, mapping = transported_square_hom(k, s)
+            ok = homsolver.verify_homomorphism(square, g, mapping)
+            return ok, {"square_order": square.order, "map_size": len(mapping)}
+
+        reports.append(_row("homidem-positive", {"k": k, "s": s, "n": k * s + 1}, True, positive))
     for inst in man["hom_negative_two_stable"]:
         n, k = inst["n"], inst["k"]
         if n < 2 * k + 2:
@@ -567,19 +448,7 @@ def run_hom_idempotence_suite(
         n = 2 * s + 2
         g = stable_kneser(n, 2, s)
         params = {"n": n, "k": 2, "s": s}
-        t0 = time.monotonic()
-        outcome = homsolver.is_core(g, budget)
-        reports.append(
-            _report(
-                "core-status",
-                params,
-                expected="core",
-                computed=outcome.status,
-                evidence={"nodes": outcome.nodes},
-                seconds=time.monotonic() - t0,
-                exhausted=outcome.status == "exhausted",
-            )
-        )
+        reports.append(_core_row(g, params, "core", budget))
         reports.extend(_negative_reports(g, s, params, budget, include_square_search))
     return _sort_reports(reports)
 
@@ -606,48 +475,17 @@ def probe_conjectures(
                     continue
                 params = {"n": n, "k": k, "s": s}
                 g = stable_kneser(n, k, s)
-                t0 = time.monotonic()
-                try:
-                    chi = coloring.chromatic_number(g, budget).chi
-                    reports.append(
-                        _report(
-                            "conjecture-chi",
-                            params,
-                            expected=n - (k - 1) * s,
-                            computed=chi,
-                            evidence={"order": g.order},
-                            seconds=time.monotonic() - t0,
-                        )
+                reports.append(
+                    _row(
+                        "conjecture-chi",
+                        params,
+                        n - (k - 1) * s,
+                        lambda: (coloring.chromatic_number(g, budget).chi, {"order": g.order}),
                     )
-                except BudgetExhausted as stop:
-                    reports.append(
-                        _report(
-                            "conjecture-chi",
-                            params,
-                            expected=n - (k - 1) * s,
-                            computed=None,
-                            evidence={"nodes": stop.nodes},
-                            seconds=time.monotonic() - t0,
-                            exhausted=True,
-                        )
-                    )
+                )
                 if s >= 3 and n > k * s + 1 and g.order**2 <= square_order_cap:
-                    square = cartesian_product(g, g)
-                    capped = SearchBudget(
-                        min(5_000_000, (budget or SearchBudget()).node_limit or 5_000_000),
-                        min(60.0, (budget or SearchBudget()).time_limit or 60.0),
-                    )
-                    outcome = homsolver.find_homomorphism(square, g, capped)
                     reports.append(
-                        _report(
-                            "conjecture-homidem",
-                            params,
-                            expected="none",
-                            computed=outcome.status,
-                            evidence={"nodes": outcome.nodes, "square_order": square.order},
-                            seconds=outcome.seconds,
-                            exhausted=outcome.status == "exhausted",
-                        )
+                        _square_row("conjecture-homidem", params, g, budget, 5_000_000, 60.0)
                     )
     return _sort_reports(reports)
 

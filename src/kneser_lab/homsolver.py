@@ -257,21 +257,19 @@ def is_core(g: Graph, budget: SearchBudget | None = None) -> CoreOutcome:
     """Exhaustively decide whether every endomorphism of g is surjective.
 
     g fails to be a core exactly when some endomorphism misses a vertex,
-    so we try to avoid each vertex in turn.
+    so we try to avoid each vertex in turn. The searches share one budget.
     """
-    total_nodes = 0
-    seconds = 0.0
+    clock = resolve_budget(budget).start()
     for v in range(g.order):
         outcome = find_homomorphism(
-            g, g, budget, exclude_image=(v,), use_target_symmetry=False
+            g, g, clock.remaining(), exclude_image=(v,), use_target_symmetry=False
         )
-        total_nodes += outcome.nodes
-        seconds += outcome.seconds
+        clock.nodes += outcome.nodes
         if outcome.status == "found":
-            return CoreOutcome("not-core", outcome.homomorphism, total_nodes, seconds)
+            return CoreOutcome("not-core", outcome.homomorphism, clock.nodes, clock.elapsed())
         if outcome.status == "exhausted":
-            return CoreOutcome("exhausted", None, total_nodes, seconds)
-    return CoreOutcome("core", None, total_nodes, seconds)
+            return CoreOutcome("exhausted", None, clock.nodes, clock.elapsed())
+    return CoreOutcome("core", None, clock.nodes, clock.elapsed())
 
 
 def normal_cayley_self_hom(g: Graph) -> Homomorphism:

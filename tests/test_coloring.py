@@ -3,13 +3,14 @@ import random
 import pytest
 
 from helpers import brute_chromatic_number, random_graph
+from kneser_lab.budget import BudgetExhausted, SearchBudget
 from kneser_lab.coloring import (
     chromatic_number,
     closed_form_chi,
     is_chi_critical,
 )
 from kneser_lab.families import parse_family_spec, stable_kneser
-from kneser_lab.graphs import complete_graph, cycle_graph, empty_graph
+from kneser_lab.graphs import complete_graph, cycle_graph, delete_vertex, empty_graph
 from kneser_lab.homsolver import find_homomorphism
 
 
@@ -69,6 +70,16 @@ def test_criticality_small():
     assert is_chi_critical(cycle_graph(5)).critical
     report = is_chi_critical(cycle_graph(6))
     assert not report.critical and report.witness is not None
+
+
+def test_criticality_spends_one_budget():
+    g = stable_kneser(6, 2, 2)
+    costs = [chromatic_number(g).nodes] + [
+        chromatic_number(delete_vertex(g, v)).nodes for v in range(g.order)
+    ]
+    assert max(costs) < sum(costs)
+    with pytest.raises(BudgetExhausted):
+        is_chi_critical(g, SearchBudget(node_limit=max(costs), time_limit=None))
 
 
 def test_criticality_two_stable():

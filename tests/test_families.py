@@ -9,7 +9,6 @@ from kneser_lab.families import (
     cycle_power,
     embed_circular_in_kneser,
     enumerate_stable_subsets,
-    is_s_stable,
     kneser,
     parse_family_spec,
     prop_iso_images,
@@ -29,10 +28,10 @@ from kneser_lab.labels import KSubset
 
 
 def test_is_s_stable_examples():
-    assert is_s_stable(KSubset((1, 4), 6), 2)
-    assert not is_s_stable(KSubset((1, 2), 6), 2)
+    assert KSubset((1, 4), 6).is_stable(2)
+    assert not KSubset((1, 2), 6).is_stable(2)
     # 1 and n count as consecutive
-    assert not is_s_stable(KSubset((1, 6), 6), 2)
+    assert not KSubset((1, 6), 6).is_stable(2)
 
 
 def test_enumerate_stable_subsets_7_2_3():

@@ -4,7 +4,7 @@ import pytest
 
 from kneser_lab import cli, harness
 from kneser_lab.budget import BUDGET_ENV_VAR, SearchBudget
-from kneser_lab.claims import claim_info
+from kneser_lab.claims import CLAIMS
 from kneser_lab.cliques import clique_number, independence_number
 from kneser_lab.dihedral import enumerate_shifts
 from kneser_lab.dimacs import read_dimacs
@@ -75,7 +75,7 @@ def test_homidem_optional_square_searches_complete():
 def test_claim_ids_have_manifest_entries():
     reports = harness.run_all()
     for r in reports:
-        info = claim_info(r.claim_id)
+        info = CLAIMS[r.claim_id]
         assert info["statement"] and info["topic"]
         assert r.provenance == info["provenance"]
 
@@ -208,6 +208,51 @@ def test_cli_shifts_requires_stable(capsys):
 def test_cli_budget_exhaustion_exit(capsys):
     assert cli.main(["--budget", "1,", "chi", "stable:n=8,k=2,s=3"]) == 3
     assert "exhausted" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "shifts"], 0),
+        (["verify", "counts"], 0),
+        (["verify", "iso"], 0),
+        (["verify", "chi"], 3),
+        (["verify", "cores"], 3),
+        (["verify", "homidem"], 3),
+        (["verify", "homidem", "--square"], 3),
+        (["verify", "all"], 3),
+        (["chi", "stable:n=8,k=2,s=3"], 3),
+        (["core", "stable:n=8,k=2,s=3"], 3),
+        (["hom", "kneser:n=6,k=2", "cyclepow:n=7,a=2"], 3),
+        (["probe"], 0),
+    ],
+    ids=lambda value: "_".join(value) if isinstance(value, list) else None,
+)
+def test_cli_small_budget_never_crashes(argv, code, capsys):
+    # the three grid suites run no budgeted solver, so they still pass
+    assert cli.main(["--budget", "10,1", *argv]) == code
+    out = capsys.readouterr().out
+    if argv == ["verify", "chi"]:
+        assert "total=14 " in out
+    if argv == ["probe"]:
+        lines = out.splitlines()
+        assert lines and all(line.split()[0] in ("EXHAUSTED", "PASS") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        {"spec": "kneser:n=5,k=2", "chi": 4},  # the closed form gives 3
+        {"spec": "stable:n=9,k=2,s=3", "chi": 6},  # only conjectured
+    ],
+)
+def test_cli_manifest_chi_must_match_closed_form(tmp_path, capsys, inst):
+    manifest = harness.load_manifest()
+    manifest["chi_instances"] = [inst]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(manifest))
+    assert cli.main(["verify", "chi", "--manifest", str(path)]) == 64
+    assert "closed form" in capsys.readouterr().err
 
 
 def test_cli_probe(capsys):

@@ -88,6 +88,17 @@ def test_budget_exhaustion_outcome():
     assert out.status == "exhausted"
 
 
+def test_core_test_spends_one_budget():
+    g = stable_kneser(6, 2, 2)
+    costs = [
+        find_homomorphism(g, g, exclude_image=(v,), use_target_symmetry=False).nodes
+        for v in range(g.order)
+    ]
+    assert max(costs) < sum(costs) == is_core(g).nodes
+    out = is_core(g, SearchBudget(node_limit=max(costs), time_limit=None))
+    assert out.status == "exhausted"
+
+
 def test_retraction_of_c6_onto_edge():
     out = find_retraction(cycle_graph(6), {0, 1})
     assert out.found

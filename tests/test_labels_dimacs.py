@@ -1,5 +1,6 @@
 import pytest
 
+from kneser_lab import cli
 from kneser_lab.dihedral import DihedralElement, rho, rotation
 from kneser_lab.dimacs import dimacs_dumps, dimacs_loads, read_dimacs, write_dimacs
 from kneser_lab.families import kneser, stable_kneser
@@ -84,6 +85,16 @@ def test_dimacs_rejects_garbage():
         dimacs_loads("p vertex 3 0\n")
     with pytest.raises(GraphError):
         dimacs_loads("c nothing here\n")
+
+
+@pytest.mark.parametrize("text", ["p edge 3 5\ne 1 2\ne 2 3\n", "p edge 3 1\ne 1\n"])
+def test_dimacs_rejects_malformed_edges(tmp_path, capsys, text):
+    with pytest.raises(GraphError):
+        dimacs_loads(text)
+    path = tmp_path / "bad.dimacs"
+    path.write_text(text)
+    assert cli.main(["chi", str(path)]) == 64
+    assert "error" in capsys.readouterr().err
 
 
 def test_dimacs_rejects_partial_labels():
