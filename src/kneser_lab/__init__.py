@@ -62,6 +62,7 @@ from .graphs import (
     induced_subgraph,
     make_graph,
     path_graph,
+    verify_homomorphism,
 )
 from .homsolver import (
     CoreOutcome,
@@ -71,7 +72,6 @@ from .homsolver import (
     find_retraction,
     is_core,
     normal_cayley_self_hom,
-    verify_homomorphism,
 )
 from .isomorphism import are_isomorphic, verify_isomorphism
 from .labels import CyclicElem, KSubset

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budget import SearchBudget, resolve_budget
-from .graphs import Graph, complement
+from .graphs import Graph, complement, complete_graph, verify_homomorphism
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,10 @@ def independence_number(g: Graph, budget: SearchBudget | None = None) -> Extrema
 
 
 def is_clique(g: Graph, vertices) -> bool:
-    vs = list(vertices)
-    return all(g.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :])
+    """Distinct vertices of g, pairwise adjacent: a homomorphism from K_m."""
+    vs = tuple(vertices)
+    return verify_homomorphism(complete_graph(len(vs)), g, vs)
 
 
 def is_independent_set(g: Graph, vertices) -> bool:
-    vs = list(vertices)
-    return not any(g.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :])
+    return is_clique(complement(g), vertices)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .budget import BudgetClock, BudgetExhausted, SearchBudget, resolve_budget
 from .cliques import _max_clique
 from .families import FamilySpec
-from .graphs import Graph, delete_vertex, iter_bits
+from .graphs import Graph, complete_graph, delete_vertex, iter_bits, verify_homomorphism
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> ColoringRe
         if attempt is not None:
             chi, coloring = k, attempt
             break
-    if any(coloring[u] == coloring[v] for u, v in g.edges()):
+    if not verify_homomorphism(g, complete_graph(chi), coloring):
         raise RuntimeError("solver produced an improper coloring")
     return ColoringResult(chi, coloring, clique, clock.nodes)
 

@@ -9,15 +9,18 @@ Elements come in three kinds, all arithmetic modulo [n] (n stands for 0):
   index range 1..n/2
 
 The module also detects and predicts the shifts of stable Kneser graphs,
-i.e. the automorphisms that move every vertex onto one of its neighbors.
+i.e. the automorphisms that move every vertex onto one of its neighbors,
+and turns the symmetries that graph labels declare into verified vertex
+permutations and their orbits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .graphs import Graph, GraphError, iter_bits
-from .labels import KSubset
+from .graphs import Graph, GraphError, connected_components, label_automorphism, make_graph
+from .labels import CyclicElem, KSubset
 from .modn import mod1
 
 _KIND_RANK = {"r": 0, "p": 1, "d": 2}
@@ -146,16 +149,36 @@ def induced_automorphism(e: DihedralElement, g: Graph) -> tuple[int, ...]:
     labels = g.labels
     if not labels or not all(isinstance(l, KSubset) and l.ambient == e.n for l in labels):
         raise GraphError("graph must carry k-subset labels over the element's ground set")
-    index = {lab: i for i, lab in enumerate(labels)}
-    try:
-        perm = tuple(index[act_on_vertex(e, lab)] for lab in labels)
-    except KeyError as missing:
-        raise GraphError(f"action leaves the vertex set at {missing}") from None
-    for u in range(g.order):
-        for v in iter_bits(g.adj[u]):
-            if not g.has_edge(perm[u], perm[v]):
-                raise GraphError(f"{e} does not preserve adjacency")
+    perm = label_automorphism(g, partial(act_on_vertex, e))
+    if perm is None:
+        raise GraphError(f"{e} does not induce an automorphism")
     return perm
+
+
+def symmetry_root_candidates(h: Graph) -> int | None:
+    """Bitmask with one target vertex per orbit of the symmetries h's labels
+    declare (the residue shift of a circulant, left multiplication by r1 and
+    p1 on a dihedral Cayley graph), or None when h declares none or one of
+    them fails verification.
+    """
+    labels = h.labels
+    first = labels[0] if labels else None
+    if isinstance(first, CyclicElem) and all(
+        isinstance(l, CyclicElem) and l.modulus == first.modulus for l in labels
+    ):
+        n = first.modulus
+        acts = [lambda lab: CyclicElem((lab.value + 1) % n, n)]
+    elif isinstance(first, DihedralElement) and all(
+        isinstance(l, DihedralElement) and l.n == first.n for l in labels
+    ):
+        acts = [partial(compose, gen) for gen in (rotation(1, first.n), rho(1, first.n))]
+    else:
+        return None
+    perms = [label_automorphism(h, act) for act in acts]
+    if None in perms:
+        return None
+    moves = {(u, v) for perm in perms for u, v in enumerate(perm) if u != v}
+    return sum(1 << orbit[0] for orbit in connected_components(make_graph(h.order, moves)))
 
 
 def is_shift(e: DihedralElement, g: Graph) -> tuple[bool, int | None]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import dihedral
-from .graphs import Graph
+from .graphs import Graph, induced_subgraph
 from .isomorphism import verify_isomorphism
 from .labels import CyclicElem, KSubset
 from .modn import mod1
@@ -174,13 +174,10 @@ def embed_circular_in_kneser(n: int, k: int) -> tuple[int, ...]:
     index = big.label_index()
     images = [circular_interval(n, u, k) for u in range(n)]
     mapping = tuple(index[v] for v in images)
-    if len(set(mapping)) != n:
-        raise RuntimeError("interval embedding is not injective")
-    src = circular_graph(n, k)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if src.has_edge(u, v) != big.has_edge(mapping[u], mapping[v]):
-                raise RuntimeError("interval embedding failed the adjacency check")
+    rank = {v: i for i, v in enumerate(sorted(mapping))}
+    local = tuple(rank[v] for v in mapping)
+    if not verify_isomorphism(circular_graph(n, k), induced_subgraph(big, mapping), local):
+        raise RuntimeError("interval embedding failed the isomorphism checker")
     return mapping
 
 

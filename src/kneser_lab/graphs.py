@@ -114,6 +114,40 @@ def audit_graph(g: Graph) -> bool:
     return True
 
 
+def verify_homomorphism(g: Graph, h: Graph, mapping) -> bool:
+    """Independent check that mapping sends every edge of g to an edge of h.
+
+    Automorphisms, isomorphisms, colourings (maps into K_c) and cliques (maps
+    from K_m) are all checked through it; it shares nothing with the searches.
+    """
+    if len(mapping) != g.order:
+        return False
+    if any(type(m) is not int or not 0 <= m < h.order for m in mapping):
+        return False
+    hadj = h.adj
+    for u in range(g.order):
+        row = hadj[mapping[u]]
+        for d in iter_bits(g.adj[u] >> u):  # each edge once, as u ~ u + d
+            if not row >> mapping[u + d] & 1:
+                return False
+    return True
+
+
+def label_automorphism(g: Graph, act) -> tuple[int, ...] | None:
+    """The automorphism of g sending the vertex labelled x to the one labelled act(x),
+    or None when some act(x) is not a label of g or the map is not one. A
+    bijective edge-preserving self-map of a finite graph is an automorphism.
+    """
+    index = g.label_index()
+    try:
+        perm = tuple(index[act(label)] for label in g.labels)
+    except KeyError:
+        return None
+    if len(set(perm)) == g.order and verify_homomorphism(g, g, perm):
+        return perm
+    return None
+
+
 def complement(g: Graph) -> Graph:
     full = (1 << g.order) - 1
     adj = tuple((full & ~g.adj[u]) & ~(1 << u) for u in range(g.order))

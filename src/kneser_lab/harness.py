@@ -115,7 +115,7 @@ def _sort_reports(reports):
 
 
 def run_shift_grid(
-    k_values=None, s_values=None, n_cap=None, budget=None, manifest=None
+    k_values=None, s_values=None, n_cap=None, manifest=None
 ) -> list[VerificationReport]:
     """Brute-force shifts vs the closed-form prediction, plus reflexion audits."""
     cfg = (manifest or load_manifest())["shift_grid"]

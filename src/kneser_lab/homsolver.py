@@ -1,12 +1,11 @@
-"""Exact homomorphism existence, retraction search, and core testing.
+"""Homomorphism search, solver outcomes, and JSON certificates.
 
-The search engine is backtracking over per-vertex candidate bitsets with
-arc-consistency propagation after every assignment. When the target graph
-carries cyclic or dihedral labels, its (verified) translation symmetries
-collapse the root branching to one candidate per orbit; correctness never
-relies on an unverified symmetry. A negative answer is only ever reported
-after a completed exhaustive search, and every positive answer is passed
-through the independent checker `verify_homomorphism` first.
+The search engine (also behind retractions and core testing) is backtracking
+over per-vertex candidate bitsets with arc consistency after every assignment.
+Verified label symmetries of the target (`dihedral.symmetry_root_candidates`)
+collapse the root branching to one candidate per orbit. A negative answer is
+only ever reported after a completed exhaustive search; every positive answer
+and every loaded certificate passes the map checker `graphs.verify_homomorphism`.
 """
 
 from __future__ import annotations
@@ -16,9 +15,16 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from . import dihedral as dih
 from .budget import BudgetClock, BudgetExhausted, SearchBudget, resolve_budget
-from .graphs import Graph, cartesian_product, induced_subgraph, iter_bits
+from .dihedral import symmetry_root_candidates
+from .graphs import (
+    Graph,
+    cartesian_product,
+    complete_graph,
+    induced_subgraph,
+    iter_bits,
+    verify_homomorphism,
+)
 from .labels import CyclicElem
 
 
@@ -47,19 +53,6 @@ class SolveOutcome:
     @property
     def found(self) -> bool:
         return self.status == "found"
-
-
-def verify_homomorphism(g: Graph, h: Graph, mapping) -> bool:
-    """Independent edge-preservation check, no shortcuts shared with the search."""
-    if len(mapping) != g.order:
-        return False
-    if any(not 0 <= m < h.order for m in mapping):
-        return False
-    for u in range(g.order):
-        for v in iter_bits(g.adj[u]):
-            if v > u and not h.has_edge(mapping[u], mapping[v]):
-                return False
-    return True
 
 
 def _run_search(g: Graph, h: Graph, doms: list[int], clock: BudgetClock):
@@ -115,76 +108,6 @@ def _run_search(g: Graph, h: Graph, doms: list[int], clock: BudgetClock):
     return dfs(doms)
 
 
-def _is_automorphism(h: Graph, perm) -> bool:
-    if sorted(perm) != list(range(h.order)):
-        return False
-    for u in range(h.order):
-        for v in iter_bits(h.adj[u]):
-            if not h.has_edge(perm[u], perm[v]):
-                return False
-    return True
-
-
-def symmetry_root_candidates(h: Graph) -> int | None:
-    """Bitmask with one target vertex per orbit of the label-declared
-    translation symmetries, or None when no usable labels are present.
-
-    Each candidate symmetry is verified to be an automorphism before use.
-    """
-    labels = h.labels
-    if not labels or h.order == 0:
-        return None
-    perms = []
-    first = labels[0]
-    if isinstance(first, CyclicElem):
-        n = first.modulus
-        if n != h.order or not all(
-            isinstance(l, CyclicElem) and l.modulus == n for l in labels
-        ):
-            return None
-        index = {lab: i for i, lab in enumerate(labels)}
-        try:
-            perms.append(
-                [index[CyclicElem((lab.value + 1) % n, n)] for lab in labels]
-            )
-        except KeyError:
-            return None
-    elif isinstance(first, dih.DihedralElement):
-        n = first.n
-        if not all(isinstance(l, dih.DihedralElement) and l.n == n for l in labels):
-            return None
-        index = {lab: i for i, lab in enumerate(labels)}
-        for gen in (dih.rotation(1, n), dih.rho(1, n)):
-            try:
-                perms.append([index[dih.compose(gen, lab)] for lab in labels])
-            except KeyError:
-                return None
-    else:
-        return None
-    for perm in perms:
-        if not _is_automorphism(h, perm):
-            return None
-
-    parent = list(range(h.order))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in perms:
-        for u, v in enumerate(perm):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-    reps = 0
-    for u in range(h.order):
-        if find(u) == u:
-            reps |= 1 << u
-    return reps
-
-
 def find_homomorphism(
     g: Graph,
     h: Graph,
@@ -233,7 +156,7 @@ def find_retraction(g: Graph, keep, budget: SearchBudget | None = None) -> Solve
         raise ValueError(f"keep set {kept} invalid for order {g.order}")
     h = induced_subgraph(g, kept)
     fixed = {v: i for i, v in enumerate(kept)}
-    outcome = find_homomorphism(g, h, budget, fixed=fixed, use_target_symmetry=False)
+    outcome = find_homomorphism(g, h, budget, fixed=fixed)
     if outcome.found:
         mapping = outcome.homomorphism.mapping
         if any(mapping[v] != i for v, i in fixed.items()):
@@ -261,9 +184,7 @@ def is_core(g: Graph, budget: SearchBudget | None = None) -> CoreOutcome:
     """
     clock = resolve_budget(budget).start()
     for v in range(g.order):
-        outcome = find_homomorphism(
-            g, g, clock.remaining(), exclude_image=(v,), use_target_symmetry=False
-        )
+        outcome = find_homomorphism(g, g, clock.remaining(), exclude_image=(v,))
         clock.nodes += outcome.nodes
         if outcome.status == "found":
             return CoreOutcome("not-core", outcome.homomorphism, clock.nodes, clock.elapsed())
@@ -336,28 +257,34 @@ def certificate(
     return cert
 
 
+def _fingerprint_matches(cert: dict, key: str, g: Graph) -> bool:
+    if key not in cert:
+        return True
+    stamp = cert[key]
+    return isinstance(stamp, dict) and stamp.get("digest") == graph_fingerprint(g)["digest"]
+
+
 def check_certificate(cert: dict, g: Graph, h: Graph | None = None) -> bool:
-    """Re-check a loaded certificate against graphs, without re-searching."""
-    kind = cert["kind"]
-    data = cert["map" if kind == "homomorphism" else kind]
-    if "source" in cert and cert["source"]["digest"] != graph_fingerprint(g)["digest"]:
+    """Re-check a loaded certificate against graphs, without re-searching.
+
+    A coloring is checked as a map into K_order, a clique of m vertices as a
+    map from K_m. A malformed certificate is rejected, never raised on.
+    """
+    kind = cert.get("kind") if isinstance(cert, dict) else None
+    if kind not in ("homomorphism", "coloring", "clique"):
+        return False
+    data = cert.get("map" if kind == "homomorphism" else kind)
+    if not isinstance(data, (list, tuple)) or not _fingerprint_matches(cert, "source", g):
         return False
     if kind == "homomorphism":
-        if h is None:
-            return False
-        if "target" in cert and cert["target"]["digest"] != graph_fingerprint(h)["digest"]:
-            return False
-        return verify_homomorphism(g, h, data)
-    if kind == "coloring":
-        if len(data) != g.order:
-            return False
-        return all(
-            data[u] != data[v] for u in range(g.order) for v in iter_bits(g.adj[u])
+        return (
+            h is not None
+            and _fingerprint_matches(cert, "target", h)
+            and verify_homomorphism(g, h, data)
         )
-    # clique
-    return all(
-        g.has_edge(u, v) for i, u in enumerate(data) for v in data[i + 1 :]
-    )
+    if kind == "coloring":
+        return verify_homomorphism(g, complete_graph(g.order), data)
+    return verify_homomorphism(complete_graph(len(data)), g, data)
 
 
 def certificate_dumps(cert: dict) -> str:

@@ -45,6 +45,8 @@ def test_verify_homomorphism_basics():
     assert verify_homomorphism(g, g, (0, 1, 2, 3))
     assert not verify_homomorphism(g, g, (0, 0, 0, 0))
     assert not verify_homomorphism(g, g, (0, 1, 2))
+    assert not verify_homomorphism(g, g, (0.0, 1, 2, 3))
+    assert not verify_homomorphism(g, g, ("0", 1, 2, 3))
 
 
 def test_explicit_circulant_map_is_hom_both_ways():
@@ -180,6 +182,7 @@ def test_symmetry_root_candidates():
     cay = cayley_dihedral(6, {rotation(1, 6), rotation(5, 6)})
     assert symmetry_root_candidates(cay) == 1
     assert symmetry_root_candidates(cycle_graph(5)) is None
+    assert symmetry_root_candidates(stable_kneser(8, 2, 3)) is None
 
 
 def test_symmetry_does_not_change_answers():
@@ -240,3 +243,26 @@ def test_certificate_other_kinds():
     assert not check_certificate(dict(clique, clique=[0, 2]), g)
     with pytest.raises(ValueError):
         certificate("nonsense", data=())
+
+
+def _loaded(**fields) -> dict:
+    return certificate_loads(certificate_dumps(fields))
+
+
+@pytest.mark.parametrize(
+    "cert",
+    [
+        # on C5, index -1 would name vertex 4, which is adjacent to 0
+        pytest.param(_loaded(kind="clique", clique=[-1, 0]), id="clique-negative"),
+        pytest.param(_loaded(kind="clique", clique=[7, 0]), id="clique-out-of-range"),
+        pytest.param(_loaded(kind="coloring", coloring=[-1, 0, -1, 0, 1]), id="coloring-negative"),
+        pytest.param(_loaded(kind="coloring", coloring=["x", 0, "x", 0, 1]), id="coloring-str"),
+        pytest.param(_loaded(kind="nonsense", nonsense=[]), id="unknown-kind"),
+        pytest.param(_loaded(kind="nonsense"), id="unknown-kind-no-payload"),
+        pytest.param(_loaded(kind="clique"), id="missing-payload"),
+        pytest.param(_loaded(kind="homomorphism", map=[0.0, 1, 0, 1, 2]), id="map-float"),
+        pytest.param(_loaded(kind="homomorphism", map=["0", 1, 0, 1, 2]), id="map-str"),
+    ],
+)
+def test_check_certificate_rejects_forged_and_malformed(cert):
+    assert check_certificate(cert, cycle_graph(5), complete_graph(3)) is False

@@ -56,3 +56,28 @@ def test_verify_rejects_non_bijection():
     g = cycle_graph(4)
     assert not verify_isomorphism(g, g, (0, 0, 1, 2))
     assert not verify_isomorphism(g, g, (0, 2, 1, 3))
+
+
+def test_verify_needs_equal_edge_counts():
+    # the identity P3 -> K3 is bijective and edge-preserving, but misses an edge
+    assert not verify_isomorphism(path_graph(3), complete_graph(3), (0, 1, 2))
+
+
+def test_verify_matches_pairwise_definition():
+    rng = random.Random(57)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        g = random_graph(rng, n, 0.5)
+        hidden = rng.sample(range(n), n)
+        relabelled = make_graph(n, [(hidden[u], hidden[v]) for u, v in g.edges()])
+        h = rng.choice([relabelled, random_graph(rng, n, 0.5)])
+        perm = rng.choice([hidden, rng.sample(range(n), n)])
+        pairwise = all(
+            g.has_edge(u, v) == h.has_edge(perm[u], perm[v])
+            for u in range(n)
+            for v in range(u + 1, n)
+        )
+        assert verify_isomorphism(g, h, perm) == pairwise
+        seen.add(pairwise)
+    assert seen == {True, False}
