@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import coloring, dihedral, harness, homsolver
@@ -150,28 +151,14 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    budget = _budget_from(args)
-    manifest = harness.load_manifest(args.manifest) if args.manifest else None
-    if args.suite == "all":
-        reports = harness.run_all(
-            budget=budget, manifest=manifest, include_square_search=args.square
-        )
-    else:
-        reports = harness.run_suite(
-            args.suite,
-            budget=budget,
-            manifest=manifest,
-            include_square_search=args.square,
-        )
+    manifest = None if args.manifest is None else harness.load_manifest(args.manifest)
+    run = harness.run_all if args.suite == "all" else partial(harness.run_suite, args.suite)
+    reports = run(budget=_budget_from(args), manifest=manifest, include_square_search=args.square)
     for r in reports:
         print(harness.format_report_line(r))
-    counts = {
-        "pass": sum(r.status == "pass" for r in reports),
-        "fail": sum(r.status == "fail" for r in reports),
-        "exhausted": sum(r.status == "exhausted" for r in reports),
-    }
-    print(f"total={len(reports)} pass={counts['pass']} fail={counts['fail']} "
-          f"exhausted={counts['exhausted']}")
+    statuses = [r.status for r in reports]
+    print(f"total={len(reports)} pass={statuses.count('pass')} fail={statuses.count('fail')} "
+          f"exhausted={statuses.count('exhausted')}")
     if args.json:
         Path(args.json).write_text(
             json.dumps(harness.reports_to_json(reports), indent=2, sort_keys=True) + "\n"
@@ -267,7 +254,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"kneser-lab: error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,9 +9,9 @@ Elements come in three kinds, all arithmetic modulo [n] (n stands for 0):
   index range 1..n/2
 
 The module also detects and predicts the shifts of stable Kneser graphs,
-i.e. the automorphisms that move every vertex onto one of its neighbors,
-and turns the symmetries that graph labels declare into verified vertex
-permutations and their orbits.
+i.e. the automorphisms that move every vertex onto one of its neighbors. The
+symmetries labels declare (r1 and p1, or +1 on residues) are verified once per
+graph; shifts and root orbits are read from those generators.
 """
 
 from __future__ import annotations
@@ -140,28 +140,11 @@ def act_on_vertex(e: DihedralElement, v: KSubset) -> KSubset:
     return KSubset(tuple(sorted(e.apply(x) for x in v.elements)), v.ambient)
 
 
-def induced_automorphism(e: DihedralElement, g: Graph) -> tuple[int, ...]:
-    """Vertex permutation induced by e on a graph with KSubset labels.
-
-    Fails loudly if the action is not a graph automorphism, which would
-    indicate a bug in the action rather than a property of the input.
-    """
+def label_generators(g: Graph) -> list[tuple[int, ...]] | None:
+    """Verified automorphisms of g from the symmetries its labels declare: +1 on
+    residues mod n; r1 and p1 by left multiplication on dihedral elements and
+    elementwise on k-subsets of [n], n >= 3. None if a check fails or g has none."""
     labels = g.labels
-    if not labels or not all(isinstance(l, KSubset) and l.ambient == e.n for l in labels):
-        raise GraphError("graph must carry k-subset labels over the element's ground set")
-    perm = label_automorphism(g, partial(act_on_vertex, e))
-    if perm is None:
-        raise GraphError(f"{e} does not induce an automorphism")
-    return perm
-
-
-def symmetry_root_candidates(h: Graph) -> int | None:
-    """Bitmask with one target vertex per orbit of the symmetries h's labels
-    declare (the residue shift of a circulant, left multiplication by r1 and
-    p1 on a dihedral Cayley graph), or None when h declares none or one of
-    them fails verification.
-    """
-    labels = h.labels
     first = labels[0] if labels else None
     if isinstance(first, CyclicElem) and all(
         isinstance(l, CyclicElem) and l.modulus == first.modulus for l in labels
@@ -172,10 +155,43 @@ def symmetry_root_candidates(h: Graph) -> int | None:
         isinstance(l, DihedralElement) and l.n == first.n for l in labels
     ):
         acts = [partial(compose, gen) for gen in (rotation(1, first.n), rho(1, first.n))]
+    elif isinstance(first, KSubset) and first.ambient >= 3 and all(
+        isinstance(l, KSubset) and l.ambient == first.ambient for l in labels
+    ):
+        n = first.ambient
+        acts = [partial(act_on_vertex, gen) for gen in (rotation(1, n), rho(1, n))]
     else:
         return None
-    perms = [label_automorphism(h, act) for act in acts]
-    if None in perms:
+    perms = [label_automorphism(g, act) for act in acts]
+    return None if None in perms else perms
+
+
+def _automorphism_table(g: Graph, n: int) -> dict[DihedralElement, tuple[int, ...]]:
+    """Every element's vertex permutation on a graph with k-subset labels over
+    [n]: r_i is r1 applied i times, and each reflexion is some r_i after p1."""
+    gens = label_generators(g)
+    if gens is None or not isinstance(g.labels[0], KSubset) or g.labels[0].ambient != n:
+        raise GraphError(f"the dihedral group of [{n}] does not act on the graph's labels")
+    r1, p1 = gens
+    table = {}
+    perm = tuple(range(g.order))
+    for i in range(n):
+        table[rotation(i, n)] = perm
+        table[compose(rotation(i, n), rho(1, n))] = tuple(perm[x] for x in p1)
+        perm = tuple(r1[x] for x in perm)
+    return table
+
+
+def induced_automorphism(e: DihedralElement, g: Graph) -> tuple[int, ...]:
+    """Vertex permutation induced by e on a graph with k-subset labels over e's
+    ground set; GraphError when the group does not act on those labels."""
+    return _automorphism_table(g, e.n)[e]
+
+
+def symmetry_root_candidates(h: Graph) -> int | None:
+    """Bitmask with one target vertex per orbit of `label_generators(h)`, or None."""
+    perms = label_generators(h)
+    if perms is None:
         return None
     moves = {(u, v) for perm in perms for u, v in enumerate(perm) if u != v}
     return sum(1 << orbit[0] for orbit in connected_components(make_graph(h.order, moves)))
@@ -218,15 +234,17 @@ class ShiftSet:
 
 
 def enumerate_shifts(g: Graph) -> ShiftSet:
-    """Brute-force scan of all 2n dihedral elements of a stable Kneser graph."""
+    """Scan all 2n dihedral elements of a stable Kneser graph for shifts."""
     labels = g.labels
-    if not labels or not all(isinstance(l, KSubset) for l in labels):
+    if not labels or not isinstance(labels[0], KSubset):
         raise GraphError("shift enumeration needs a graph with k-subset labels")
     n = labels[0].ambient
-    k = labels[0].k
+    table = _automorphism_table(g, n)
+    members = frozenset(
+        e for e, perm in table.items() if all(g.has_edge(u, v) for u, v in enumerate(perm))
+    )
     s = min(min(l.gaps()) for l in labels)
-    members = frozenset(e for e in all_elements(n) if is_shift(e, g)[0])
-    return ShiftSet(n, k, s, members, "brute-force")
+    return ShiftSet(n, labels[0].k, s, members, "brute-force")
 
 
 def predicted_shift_indices(n: int, k: int, s: int) -> set[int]:

@@ -106,6 +106,16 @@ def load_manifest(path: str | None = None) -> dict:
     )
 
 
+def _manifest(manifest, *sections) -> dict:
+    """`manifest`, or the bundled one when it is None, checked to hold `sections`."""
+    if manifest is None:
+        manifest = load_manifest()
+    for key in sections:
+        if not isinstance(manifest, dict) or key not in manifest:
+            raise ValueError(f"manifest has no {key!r} section")
+    return manifest
+
+
 def _sort_reports(reports):
     reports.sort(key=lambda r: (r.claim_id, json.dumps(r.params, sort_keys=True)))
     return reports
@@ -114,55 +124,42 @@ def _sort_reports(reports):
 # shifts
 
 
-def run_shift_grid(
-    k_values=None, s_values=None, n_cap=None, manifest=None
-) -> list[VerificationReport]:
+def run_shift_grid(manifest=None) -> list[VerificationReport]:
     """Brute-force shifts vs the closed-form prediction, plus reflexion audits."""
-    cfg = (manifest or load_manifest())["shift_grid"]
-    k_values = sorted(k_values or cfg["k_values"])
-    s_values = sorted(s_values or cfg["s_values"])
-    n_cap = n_cap or cfg["n_cap"]
+    cfg = _manifest(manifest, "shift_grid")["shift_grid"]
     reports = []
-    for k in k_values:
-        for s in s_values:
-            for n in range(s * k + 1, min((k + 2) * s, n_cap) + 1):
+    for k in sorted(cfg["k_values"]):
+        for s in sorted(cfg["s_values"]):
+            for n in range(s * k + 1, min((k + 2) * s, cfg["n_cap"]) + 1):
                 g = stable_kneser(n, k, s)
                 params = {"n": n, "k": k, "s": s}
+                found = dihedral.enumerate_shifts(g)
+                reflexions = dihedral.all_elements(n)[n:]
 
-                def shifts():
-                    return list(dihedral.enumerate_shifts(g).texts()), {"order": g.order}
-
-                def reflexions():
-                    bad = []
-                    example = ""
-                    for e in dihedral.all_elements(n):
-                        if e.is_rotation:
-                            continue
-                        moved, _ = dihedral.is_shift(e, g)
-                        if moved:
-                            bad.append(str(e))
-                            continue
-                        witness = dihedral.non_shift_witness(e, n, k, s)
-                        if not example:
-                            example = f"{e}: {witness}"
-                    return bad, {"example": example, "reflexions": n}
+                def audit():
+                    bad = [str(e) for e in reflexions if e in found.members]
+                    witnesses = [
+                        f"{e}: {dihedral.non_shift_witness(e, n, k, s)}"
+                        for e in reflexions
+                        if e not in found.members
+                    ]
+                    return bad, {"example": witnesses[0] if witnesses else "", "reflexions": n}
 
                 predicted = list(dihedral.predicted_shifts(n, k, s).texts())
-                reports.append(_row("shift-grid", params, predicted, shifts))
-                reports.append(_row("shift-reflexion-witness", params, [], reflexions))
+                shifts = (list(found.texts()), {"order": g.order})
+                reports.append(_row("shift-grid", params, predicted, lambda: shifts))
+                reports.append(_row("shift-reflexion-witness", params, [], audit))
     return _sort_reports(reports)
 
 
 # counting and the explicit isomorphism
 
 
-def run_count_grid(k_values=None, s_values=None, manifest=None) -> list[VerificationReport]:
-    cfg = (manifest or load_manifest())["counting_grid"]
-    k_values = sorted(k_values or cfg["k_values"])
-    s_values = sorted(s_values or cfg["s_values"])
+def run_count_grid(manifest=None) -> list[VerificationReport]:
+    cfg = _manifest(manifest, "counting_grid")["counting_grid"]
     reports = []
-    for k in k_values:
-        for s in s_values:
+    for k in sorted(cfg["k_values"]):
+        for s in sorted(cfg["s_values"]):
             n = k * s + 1
             g = stable_kneser(n, k, s)
             params = {"k": k, "s": s}
@@ -176,13 +173,11 @@ def run_count_grid(k_values=None, s_values=None, manifest=None) -> list[Verifica
     return _sort_reports(reports)
 
 
-def run_prop_iso(k_values=None, s_values=None, manifest=None) -> list[VerificationReport]:
-    cfg = (manifest or load_manifest())["iso_grid"]
-    k_values = sorted(k_values or cfg["k_values"])
-    s_values = sorted(s_values or cfg["s_values"])
+def run_prop_iso(manifest=None) -> list[VerificationReport]:
+    cfg = _manifest(manifest, "iso_grid")["iso_grid"]
     reports = []
-    for k in k_values:
-        for s in s_values:
+    for k in sorted(cfg["k_values"]):
+        for s in sorted(cfg["s_values"]):
             params = {"k": k, "s": s}
             source = circular_graph(k * s + 1, k)
             target = stable_kneser(k * s + 1, k, s)
@@ -246,7 +241,7 @@ def stable_pair_block_map(s: int) -> tuple[int, ...]:
 
 
 def run_chi_suite(budget=None, manifest=None) -> list[VerificationReport]:
-    man = manifest or load_manifest()
+    man = _manifest(manifest, "chi_instances", "chi_lower_bound_s")
     reports = []
     for inst in man["chi_instances"]:
         spec = parse_family_spec(inst["spec"])
@@ -354,7 +349,7 @@ def _square_row(claim_id, params, g, budget, nodes: int, seconds: float) -> Veri
 
 
 def run_core_suite(budget=None, manifest=None) -> list[VerificationReport]:
-    man = manifest or load_manifest()
+    man = _manifest(manifest, "core_instances")
     reports = []
     for inst in man["core_instances"]:
         spec = parse_family_spec(inst["spec"])
@@ -423,7 +418,7 @@ def _negative_reports(g, s, params, budget, include_square_search):
 def run_hom_idempotence_suite(
     budget=None, manifest=None, include_square_search: bool = False
 ) -> list[VerificationReport]:
-    man = manifest or load_manifest()
+    man = _manifest(manifest, "hom_positive", "hom_negative_two_stable", "hom_negative_pair_family")
     reports = []
     for inst in man["hom_positive"]:
         k, s = inst["k"], inst["s"]

@@ -2,10 +2,10 @@
 
 The search engine (also behind retractions and core testing) is backtracking
 over per-vertex candidate bitsets with arc consistency after every assignment.
-Verified label symmetries of the target (`dihedral.symmetry_root_candidates`)
-collapse the root branching to one candidate per orbit. A negative answer is
-only ever reported after a completed exhaustive search; every positive answer
-and every loaded certificate passes the map checker `graphs.verify_homomorphism`.
+Verified label symmetries of the target (`dihedral.label_generators`, also on
+Kneser graphs) give one root candidate per orbit. A negative answer is only
+ever reported after a completed exhaustive search; every positive answer and
+every loaded certificate passes the map checker `graphs.verify_homomorphism`.
 """
 
 from __future__ import annotations

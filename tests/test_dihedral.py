@@ -1,8 +1,10 @@
 import random
+from functools import partial
 from itertools import product
 
 import pytest
 
+from kneser_lab import dihedral
 from kneser_lab.dihedral import (
     DihedralElement,
     act_on_vertex,
@@ -22,7 +24,8 @@ from kneser_lab.dihedral import (
     rotation,
 )
 from kneser_lab.families import stable_kneser
-from kneser_lab.graphs import GraphError
+from kneser_lab.graphs import GraphError, induced_subgraph, label_automorphism
+from kneser_lab.harness import load_manifest
 from kneser_lab.labels import KSubset
 from kneser_lab.modn import mod1
 
@@ -167,6 +170,33 @@ def test_every_element_induces_automorphism_small_n():
                     assert g.has_edge(u, v) == g.has_edge(perm[u], perm[v])
 
 
+def test_generator_products_match_each_label_action():
+    # every element's permutation, read from the table built from r1 and p1,
+    # against the element's own label action verified on its own
+    cfg = load_manifest()["shift_grid"]
+    for k in cfg["k_values"]:
+        for s in cfg["s_values"]:
+            for n in range(s * k + 1, min((k + 2) * s, cfg["n_cap"]) + 1):
+                g = stable_kneser(n, k, s)
+                table = dihedral._automorphism_table(g, n)
+                assert set(table) == set(all_elements(n))
+                for e, perm in table.items():
+                    assert perm == label_automorphism(g, partial(act_on_vertex, e))
+
+
+def test_enumerate_shifts_verifies_only_the_generators(monkeypatch):
+    calls = []
+
+    def counted(g, act):
+        calls.append(act)
+        return label_automorphism(g, act)
+
+    monkeypatch.setattr(dihedral, "label_automorphism", counted)
+    found = enumerate_shifts(stable_kneser(13, 3, 4))
+    assert found.members == predicted_shifts(13, 3, 4).members
+    assert len(calls) == 2
+
+
 def test_not_vertex_transitive_witness():
     g = stable_kneser(6, 2, 2)
     src = g.label_index()[KSubset((1, 3), 6)]
@@ -192,6 +222,8 @@ def test_induced_automorphism_requires_subset_labels():
 
     with pytest.raises(GraphError):
         induced_automorphism(rotation(1, 6), cycle_graph(6))
+    with pytest.raises(GraphError):
+        induced_automorphism(rotation(1, 8), induced_subgraph(stable_kneser(8, 2, 3), range(5)))
 
 
 def test_enumerate_shifts_frozen_values():

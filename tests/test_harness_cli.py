@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -18,15 +19,18 @@ def _by_claim(reports, claim_id):
 
 
 def test_shift_suite_passes():
-    reports = harness.run_shift_grid(k_values=[2], s_values=[2, 3], n_cap=10)
+    grid = {"k_values": [2], "s_values": [2, 3], "n_cap": 10}
+    reports = harness.run_shift_grid(manifest={"shift_grid": grid})
     assert reports and all(r.status == "pass" for r in reports)
     cell = [r for r in _by_claim(reports, "shift-grid") if r.params == {"n": 6, "k": 2, "s": 2}]
     assert cell and cell[0].computed == ["r1", "r5"]
 
 
 def test_count_and_iso_suites_pass():
-    assert all(r.status == "pass" for r in harness.run_count_grid([2, 3], [2, 3]))
-    assert all(r.status == "pass" for r in harness.run_prop_iso([2, 3], [2]))
+    counts = {"counting_grid": {"k_values": [2, 3], "s_values": [2, 3]}}
+    assert all(r.status == "pass" for r in harness.run_count_grid(manifest=counts))
+    iso = {"iso_grid": {"k_values": [2, 3], "s_values": [2]}}
+    assert all(r.status == "pass" for r in harness.run_prop_iso(manifest=iso))
 
 
 def test_chi_suite_passes_with_witnesses():
@@ -121,6 +125,22 @@ def test_probe_reports_are_flagged():
         assert r.conjecture
     chi_rows = [r for r in reports if r.claim_id == "conjecture-chi"]
     assert chi_rows and chi_rows[0].computed == 6 and chi_rows[0].status == "pass"
+
+
+def test_verify_all_report_digest(monkeypatch):
+    # Pins the whole `verify all --json` content except timings; a change
+    # that alters verify output must update this digest and say why.
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+
+    def untimed(value):
+        if isinstance(value, dict):
+            return {k: untimed(v) for k, v in value.items() if k != "seconds"}
+        if isinstance(value, list):
+            return [untimed(v) for v in value]
+        return value
+
+    blob = json.dumps(untimed(harness.reports_to_json(harness.run_all())), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == "c9ec856370fea1ff"
 
 
 def test_verify_json_deterministic(tmp_path):
@@ -253,6 +273,26 @@ def test_cli_manifest_chi_must_match_closed_form(tmp_path, capsys, inst):
     path.write_text(json.dumps(manifest))
     assert cli.main(["verify", "chi", "--manifest", str(path)]) == 64
     assert "closed form" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["missing manifest", "chi on a directory", "hom on a directory", "no chi section", "empty"],
+)
+def test_cli_bad_paths_and_manifests_exit_64(tmp_path, capsys, case):
+    (tmp_path / "grid.json").write_text(json.dumps({"shift_grid": {"k_values": [2]}}))
+    (tmp_path / "empty.json").write_text("{}")
+    argv = {
+        "missing manifest": ["verify", "all", "--manifest", str(tmp_path / "missing.json")],
+        "chi on a directory": ["chi", str(tmp_path)],
+        "hom on a directory": ["hom", str(tmp_path), "stable:n=7,k=2,s=2"],
+        "no chi section": ["verify", "chi", "--manifest", str(tmp_path / "grid.json")],
+        "empty": ["verify", "chi", "--manifest", str(tmp_path / "empty.json")],
+    }[case]
+    assert cli.main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("kneser-lab: error: ") and captured.err.count("\n") == 1
 
 
 def test_cli_probe(capsys):

@@ -5,11 +5,12 @@ import pytest
 from helpers import brute_homomorphism_exists, random_graph
 from kneser_lab.budget import SearchBudget
 from kneser_lab.coloring import chromatic_number
-from kneser_lab.dihedral import rotation
+from kneser_lab.dihedral import act_on_vertex, all_elements, rotation
 from kneser_lab.families import (
     cayley_dihedral,
     circulant,
     circular_graph,
+    kneser,
     prop_iso_map,
     stable_kneser,
 )
@@ -18,6 +19,7 @@ from kneser_lab.graphs import (
     complete_graph,
     cycle_graph,
     induced_subgraph,
+    make_graph,
 )
 from kneser_lab.homsolver import (
     certificate,
@@ -182,7 +184,53 @@ def test_symmetry_root_candidates():
     cay = cayley_dihedral(6, {rotation(1, 6), rotation(5, 6)})
     assert symmetry_root_candidates(cay) == 1
     assert symmetry_root_candidates(cycle_graph(5)) is None
-    assert symmetry_root_candidates(stable_kneser(8, 2, 3)) is None
+    # one representative each for the distance-3 and the distance-4 pairs
+    assert symmetry_root_candidates(stable_kneser(8, 2, 3)) == 0b11
+    # no dihedral group on [2]; an induced subgraph the group does not act on
+    assert symmetry_root_candidates(kneser(2, 1)) is None
+    assert symmetry_root_candidates(induced_subgraph(stable_kneser(8, 2, 3), range(5))) is None
+
+
+def _connected_first(g):
+    """An isomorphic copy of g in which every vertex has as many neighbours
+    among the earlier ones as possible, so the naive oracle prunes early."""
+    order = []
+    while len(order) < g.order:
+        rest = [u for u in range(g.order) if u not in order]
+        links = {u: sum(g.has_edge(u, v) for v in order) for u in rest}
+        order.append(max(rest, key=lambda u: (links[u], g.degree(u))))
+    pos = {u: i for i, u in enumerate(order)}
+    return make_graph(g.order, [(pos[u], pos[v]) for u, v in g.edges()])
+
+
+def _subset_targets():
+    """Stable Kneser and Kneser graphs on at most 9 points."""
+    shapes = [(n, k) for n in range(4, 10) for k in (2, 3) if n >= 2 * k]
+    stable = [stable_kneser(n, k, s) for n, k in shapes for s in (2, 3, 4) if k * s <= n]
+    return stable + [kneser(n, k) for n, k in shapes]
+
+
+def test_subset_root_candidates_meet_every_orbit_once():
+    for h in _subset_targets():
+        reps = symmetry_root_candidates(h)
+        index = h.label_index()
+        for label in h.labels:
+            orbit = {index[act_on_vertex(e, label)] for e in all_elements(label.ambient)}
+            assert sum(reps >> v & 1 for v in orbit) == 1
+
+
+def test_subset_symmetry_reduction_keeps_answers():
+    targets = _subset_targets()
+    rng = random.Random(2)
+    statuses = set()
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(1, 9), rng.choice((0.3, 0.5, 0.7)))
+        h = rng.choice(targets)
+        reduced = find_homomorphism(g, h).status
+        assert reduced == find_homomorphism(g, h, use_target_symmetry=False).status
+        assert (reduced == "found") == brute_homomorphism_exists(_connected_first(g), h)
+        statuses.add(reduced)
+    assert statuses == {"found", "none"}
 
 
 def test_symmetry_does_not_change_answers():
