@@ -1,7 +1,8 @@
 """Node/time budgets shared by the exact solvers.
 
-Exhaustion is always reported as its own outcome (exception or "exhausted"
-status), never conflated with a negative answer.
+Each public solver call starts one BudgetClock and runs all its sub-searches
+on it. Exhaustion is always reported as its own outcome (exception or
+"exhausted" status), never conflated with a negative answer.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def resolve_budget(budget: SearchBudget | None) -> SearchBudget:
 
 
 class BudgetClock:
-    """Mutable accounting for one solver invocation."""
+    """Mutable accounting for one public solver call and all its sub-searches."""
 
     def __init__(self, budget: SearchBudget):
         self.node_limit = budget.node_limit
@@ -62,14 +63,6 @@ class BudgetClock:
 
     def elapsed(self) -> float:
         return time.monotonic() - self._t0
-
-    def remaining(self) -> SearchBudget:
-        """What is left of the budget, for a sub-search that keeps its own
-        clock; the caller adds the nodes it spends to `nodes`."""
-        return SearchBudget(
-            None if self.node_limit is None else max(0, self.node_limit - self.nodes),
-            None if self.time_limit is None else max(0.0, self.time_limit - self.elapsed()),
-        )
 
     def tick(self, count: int = 1) -> None:
         self.nodes += count

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
 
@@ -89,11 +90,7 @@ def _cmd_shifts(args) -> int:
 
 def _cmd_chi(args) -> int:
     g = _load_graph(args.spec)
-    try:
-        result = coloring.chromatic_number(g, _budget_from(args))
-    except BudgetExhausted as stop:
-        print(f"exhausted after {stop.nodes} nodes")
-        return EXIT_EXHAUSTED
+    result = coloring.chromatic_number(g, _budget_from(args))
     cert = homsolver.certificate(
         "coloring", data=result.coloring, source=g, verified=True, nodes=result.nodes
     )
@@ -141,7 +138,7 @@ def _cmd_hom(args) -> int:
 def _cmd_iso(args) -> int:
     g = _load_graph(args.first)
     h = _load_graph(args.second)
-    mapping = are_isomorphic(g, h)
+    mapping = are_isomorphic(g, h, _budget_from(args))
     if mapping is None:
         print("not isomorphic")
     else:
@@ -150,37 +147,33 @@ def _cmd_iso(args) -> int:
     return EXIT_OK
 
 
+def _report(args, run, *params, **options) -> list:
+    """Print the rows of `run` on the command's budget and write them to
+    --json, which is opened first: a bad path fails before any suite runs."""
+    with open(args.json, "w") if args.json else nullcontext() as out:
+        reports = run(*params, budget=_budget_from(args), **options)
+        for r in reports:
+            print(harness.format_report_line(r))
+        if out is not None:
+            out.write(json.dumps(harness.reports_to_json(reports), indent=2, sort_keys=True) + "\n")
+    return reports
+
+
 def _cmd_verify(args) -> int:
     manifest = None if args.manifest is None else harness.load_manifest(args.manifest)
     run = harness.run_all if args.suite == "all" else partial(harness.run_suite, args.suite)
-    reports = run(budget=_budget_from(args), manifest=manifest, include_square_search=args.square)
-    for r in reports:
-        print(harness.format_report_line(r))
+    reports = _report(args, run, manifest=manifest, include_square_search=args.square)
     statuses = [r.status for r in reports]
     print(f"total={len(reports)} pass={statuses.count('pass')} fail={statuses.count('fail')} "
           f"exhausted={statuses.count('exhausted')}")
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(harness.reports_to_json(reports), indent=2, sort_keys=True) + "\n"
-        )
         print(f"wrote {args.json}")
     return harness.exit_code_for(reports)
 
 
 def _cmd_probe(args) -> int:
-    reports = harness.probe_conjectures(
-        _parse_range(args.n),
-        _parse_range(args.k),
-        _parse_range(args.s),
-        budget=_budget_from(args),
-        square_order_cap=args.square_cap,
-    )
-    for r in reports:
-        print(harness.format_report_line(r))
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps(harness.reports_to_json(reports), indent=2, sort_keys=True) + "\n"
-        )
+    ranges = [_parse_range(text) for text in (args.n, args.k, args.s)]
+    _report(args, harness.probe_conjectures, *ranges, square_order_cap=args.square_cap)
     return EXIT_OK
 
 
@@ -254,6 +247,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except BudgetExhausted as stop:
+        print(f"exhausted after {stop.nodes} nodes")
+        return EXIT_EXHAUSTED
     except (ValueError, OSError) as err:
         print(f"kneser-lab: error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .budget import BudgetClock, BudgetExhausted, SearchBudget, resolve_budget
+from .budget import BudgetClock, SearchBudget, resolve_budget
 from .cliques import _max_clique
 from .families import FamilySpec
 from .graphs import Graph, complete_graph, delete_vertex, iter_bits, verify_homomorphism
@@ -82,9 +82,13 @@ def _decide_colorable(g: Graph, k: int, clock: BudgetClock):
 
 def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> ColoringResult:
     """Exact chromatic number with a proper coloring and a clique witness."""
-    clock = resolve_budget(budget).start()
+    return _chromatic(g, resolve_budget(budget).start())
+
+
+def _chromatic(g: Graph, clock: BudgetClock) -> ColoringResult:
+    """chromatic_number on the caller's clock; `nodes` is the clock's total."""
     if g.order == 0:
-        return ColoringResult(0, (), (), 0)
+        return ColoringResult(0, (), (), clock.nodes)
     lower, clique = _max_clique(g, clock)
     upper, greedy = _dsatur_greedy(g)
     chi, coloring = upper, greedy
@@ -109,23 +113,14 @@ class CriticalityReport:
 def is_chi_critical(g: Graph, budget: SearchBudget | None = None) -> CriticalityReport:
     """Vertex-criticality: does deleting any single vertex lower the chromatic number?
 
-    All g.order + 1 chromatic numbers share one budget.
+    All g.order + 1 chromatic numbers run on one clock, so share one budget.
     """
     clock = resolve_budget(budget).start()
-
-    def chi(graph: Graph) -> int:
-        try:
-            result = chromatic_number(graph, clock.remaining())
-        except BudgetExhausted as stop:
-            raise BudgetExhausted(clock.nodes + stop.nodes, clock.elapsed()) from None
-        clock.nodes += result.nodes
-        return result.chi
-
-    base = chi(g)
+    base = _chromatic(g, clock).chi
     per_vertex = []
     witness = None
     for v in range(g.order):
-        sub = chi(delete_vertex(g, v))
+        sub = _chromatic(delete_vertex(g, v), clock).chi
         if sub not in (base - 1, base):
             raise RuntimeError(f"chi({v} deleted) = {sub} breaks monotonicity from {base}")
         per_vertex.append(sub)

@@ -116,6 +116,13 @@ def _manifest(manifest, *sections) -> dict:
     return manifest
 
 
+def _field(entry, key):
+    """entry[key] for a manifest entry, which must hold it."""
+    if not isinstance(entry, dict) or key not in entry:
+        raise ValueError(f"manifest entry {json.dumps(entry)} has no {key!r}")
+    return entry[key]
+
+
 def _sort_reports(reports):
     reports.sort(key=lambda r: (r.claim_id, json.dumps(r.params, sort_keys=True)))
     return reports
@@ -128,9 +135,9 @@ def run_shift_grid(manifest=None) -> list[VerificationReport]:
     """Brute-force shifts vs the closed-form prediction, plus reflexion audits."""
     cfg = _manifest(manifest, "shift_grid")["shift_grid"]
     reports = []
-    for k in sorted(cfg["k_values"]):
-        for s in sorted(cfg["s_values"]):
-            for n in range(s * k + 1, min((k + 2) * s, cfg["n_cap"]) + 1):
+    for k in sorted(_field(cfg, "k_values")):
+        for s in sorted(_field(cfg, "s_values")):
+            for n in range(s * k + 1, min((k + 2) * s, _field(cfg, "n_cap")) + 1):
                 g = stable_kneser(n, k, s)
                 params = {"n": n, "k": k, "s": s}
                 found = dihedral.enumerate_shifts(g)
@@ -158,8 +165,8 @@ def run_shift_grid(manifest=None) -> list[VerificationReport]:
 def run_count_grid(manifest=None) -> list[VerificationReport]:
     cfg = _manifest(manifest, "counting_grid")["counting_grid"]
     reports = []
-    for k in sorted(cfg["k_values"]):
-        for s in sorted(cfg["s_values"]):
+    for k in sorted(_field(cfg, "k_values")):
+        for s in sorted(_field(cfg, "s_values")):
             n = k * s + 1
             g = stable_kneser(n, k, s)
             params = {"k": k, "s": s}
@@ -173,11 +180,11 @@ def run_count_grid(manifest=None) -> list[VerificationReport]:
     return _sort_reports(reports)
 
 
-def run_prop_iso(manifest=None) -> list[VerificationReport]:
+def run_prop_iso(budget=None, manifest=None) -> list[VerificationReport]:
     cfg = _manifest(manifest, "iso_grid")["iso_grid"]
     reports = []
-    for k in sorted(cfg["k_values"]):
-        for s in sorted(cfg["s_values"]):
+    for k in sorted(_field(cfg, "k_values")):
+        for s in sorted(_field(cfg, "s_values")):
             params = {"k": k, "s": s}
             source = circular_graph(k * s + 1, k)
             target = stable_kneser(k * s + 1, k, s)
@@ -187,7 +194,7 @@ def run_prop_iso(manifest=None) -> list[VerificationReport]:
                 return verify_isomorphism(source, target, mapping), {"map": list(mapping)}
 
             def search():
-                found = are_isomorphic(source, target)
+                found = are_isomorphic(source, target, budget)
                 return found is not None, {"map": list(found) if found else None}
 
             reports.append(_row("iso-map", params, True, check_map))
@@ -244,11 +251,11 @@ def run_chi_suite(budget=None, manifest=None) -> list[VerificationReport]:
     man = _manifest(manifest, "chi_instances", "chi_lower_bound_s")
     reports = []
     for inst in man["chi_instances"]:
-        spec = parse_family_spec(inst["spec"])
+        spec = parse_family_spec(_field(inst, "spec"))
         formula = coloring.closed_form_chi(spec)
         if formula.conjectural:
             raise ValueError(f"suite instance {spec.text} has no proven closed form")
-        if formula.value != inst["chi"]:
+        if formula.value != _field(inst, "chi"):
             raise ValueError(
                 f"suite instance {spec.text} lists chi={inst['chi']}, "
                 f"but the closed form gives {formula.value}"
@@ -352,9 +359,9 @@ def run_core_suite(budget=None, manifest=None) -> list[VerificationReport]:
     man = _manifest(manifest, "core_instances")
     reports = []
     for inst in man["core_instances"]:
-        spec = parse_family_spec(inst["spec"])
+        spec = parse_family_spec(_field(inst, "spec"))
         g = spec.build()
-        expected = "core" if inst["core"] else "not-core"
+        expected = "core" if _field(inst, "core") else "not-core"
         reports.append(_core_row(g, {"spec": spec.text}, expected, budget, order=g.order))
     return _sort_reports(reports)
 
@@ -394,7 +401,7 @@ def _negative_reports(g, s, params, budget, include_square_search):
 
     def shape():
         piece = cycle_graph(n) if s == 2 else cycle_power(n, s - 1)
-        found = are_isomorphic(cay, disjoint_union(piece, piece))
+        found = are_isomorphic(cay, disjoint_union(piece, piece), budget)
         return found is not None, {
             "shifts": list(shifts.texts()),
             "components": [len(c) for c in connected_components(cay)],
@@ -421,7 +428,7 @@ def run_hom_idempotence_suite(
     man = _manifest(manifest, "hom_positive", "hom_negative_two_stable", "hom_negative_pair_family")
     reports = []
     for inst in man["hom_positive"]:
-        k, s = inst["k"], inst["s"]
+        k, s = _field(inst, "k"), _field(inst, "s")
 
         def positive():
             square, g, mapping = transported_square_hom(k, s)
@@ -430,14 +437,14 @@ def run_hom_idempotence_suite(
 
         reports.append(_row("homidem-positive", {"k": k, "s": s, "n": k * s + 1}, True, positive))
     for inst in man["hom_negative_two_stable"]:
-        n, k = inst["n"], inst["k"]
+        n, k = _field(inst, "n"), _field(inst, "k")
         if n < 2 * k + 2:
             raise ValueError(f"two-stable negative case needs n >= 2k+2, got n={n}, k={k}")
         g = stable_kneser(n, k, 2)
         params = {"n": n, "k": k, "s": 2}
         reports.extend(_negative_reports(g, 2, params, budget, include_square_search))
     for inst in man["hom_negative_pair_family"]:
-        s = inst["s"]
+        s = _field(inst, "s")
         if s < 3:
             raise ValueError("the pair-family negative case needs s >= 3")
         n = 2 * s + 2
@@ -504,7 +511,7 @@ def run_suite(
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     runner = SUITES[name]
-    if name in ("shifts", "counts", "iso"):
+    if name in ("shifts", "counts"):
         return runner(manifest=manifest)
     if name == "homidem":
         return runner(

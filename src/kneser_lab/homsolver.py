@@ -1,11 +1,12 @@
 """Homomorphism search, solver outcomes, and JSON certificates.
 
-The search engine (also behind retractions and core testing) is backtracking
-over per-vertex candidate bitsets with arc consistency after every assignment.
-Verified label symmetries of the target (`dihedral.label_generators`, also on
-Kneser graphs) give one root candidate per orbit. A negative answer is only
-ever reported after a completed exhaustive search; every positive answer and
-every loaded certificate passes the map checker `graphs.verify_homomorphism`.
+The search engine, `_solve`, is backtracking over per-vertex candidate
+bitsets with arc consistency after every assignment, on the clock of the
+public call: homomorphisms, retractions and each core sub-search differ only
+in their start domains. Verified label symmetries of the target give one
+root candidate per orbit. A negative answer is only ever reported after a
+completed exhaustive search; every positive answer and every loaded
+certificate passes the map checker `graphs.verify_homomorphism`.
 """
 
 from __future__ import annotations
@@ -108,44 +109,39 @@ def _run_search(g: Graph, h: Graph, doms: list[int], clock: BudgetClock):
     return dfs(doms)
 
 
-def find_homomorphism(
-    g: Graph,
-    h: Graph,
-    budget: SearchBudget | None = None,
-    *,
-    fixed: dict[int, int] | None = None,
-    exclude_image=(),
-    use_target_symmetry: bool = True,
-) -> SolveOutcome:
-    """Decide whether an edge-preserving map g -> h exists.
-
-    `fixed` pins chosen source vertices to chosen targets (retractions);
-    `exclude_image` bans target vertices outright (core testing). Both
-    disable the root symmetry reduction.
-    """
-    clock = resolve_budget(budget).start()
-    full = (1 << h.order) - 1
-    for x in exclude_image:
-        full &= ~(1 << x)
-    doms = [full] * g.order
-    if fixed:
-        for u, a in fixed.items():
-            doms[u] &= 1 << a
-    elif use_target_symmetry and not exclude_image and g.order:
-        reps = symmetry_root_candidates(h)
-        if reps is not None:
-            root = max(range(g.order), key=lambda u: (g.degree(u), -u))
-            doms[root] &= reps
+def _solve(g: Graph, h: Graph, doms: list[int], clock: BudgetClock) -> SolveOutcome:
+    """Search g -> h within `doms` on `clock`; nodes are the clock's total."""
     try:
         mapping = _run_search(g, h, doms, clock)
-    except BudgetExhausted as stop:
-        return SolveOutcome("exhausted", None, stop.nodes, clock.elapsed())
+    except BudgetExhausted:
+        return SolveOutcome("exhausted", None, clock.nodes, clock.elapsed())
     if mapping is None:
         return SolveOutcome("none", None, clock.nodes, clock.elapsed())
     if not verify_homomorphism(g, h, mapping):
         raise RuntimeError("search produced a map the independent checker rejects")
     hom = Homomorphism(g.order, h.order, mapping, verified=True)
     return SolveOutcome("found", hom, clock.nodes, clock.elapsed())
+
+
+def find_homomorphism(
+    g: Graph,
+    h: Graph,
+    budget: SearchBudget | None = None,
+    *,
+    use_target_symmetry: bool = True,
+) -> SolveOutcome:
+    """Decide whether an edge-preserving map g -> h exists.
+
+    `use_target_symmetry=False` gives the unreduced reference search.
+    """
+    clock = resolve_budget(budget).start()
+    doms = [(1 << h.order) - 1] * g.order
+    if use_target_symmetry and g.order:
+        reps = symmetry_root_candidates(h)
+        if reps is not None:
+            root = max(range(g.order), key=lambda u: (g.degree(u), -u))
+            doms[root] &= reps
+    return _solve(g, h, doms, clock)
 
 
 def find_retraction(g: Graph, keep, budget: SearchBudget | None = None) -> SolveOutcome:
@@ -155,11 +151,12 @@ def find_retraction(g: Graph, keep, budget: SearchBudget | None = None) -> Solve
     if not kept or kept[0] < 0 or kept[-1] >= g.order:
         raise ValueError(f"keep set {kept} invalid for order {g.order}")
     h = induced_subgraph(g, kept)
-    fixed = {v: i for i, v in enumerate(kept)}
-    outcome = find_homomorphism(g, h, budget, fixed=fixed)
+    pins = {v: 1 << i for i, v in enumerate(kept)}
+    doms = [pins.get(u, (1 << h.order) - 1) for u in range(g.order)]
+    outcome = _solve(g, h, doms, resolve_budget(budget).start())
     if outcome.found:
         mapping = outcome.homomorphism.mapping
-        if any(mapping[v] != i for v, i in fixed.items()):
+        if any(mapping[v] != i for i, v in enumerate(kept)):
             raise RuntimeError("retraction search violated a fixed point")
     return outcome
 
@@ -180,16 +177,15 @@ def is_core(g: Graph, budget: SearchBudget | None = None) -> CoreOutcome:
     """Exhaustively decide whether every endomorphism of g is surjective.
 
     g fails to be a core exactly when some endomorphism misses a vertex,
-    so we try to avoid each vertex in turn. The searches share one budget.
+    so we try to avoid each vertex in turn, all searches on one clock.
     """
     clock = resolve_budget(budget).start()
+    full = (1 << g.order) - 1
     for v in range(g.order):
-        outcome = find_homomorphism(g, g, clock.remaining(), exclude_image=(v,))
-        clock.nodes += outcome.nodes
-        if outcome.status == "found":
-            return CoreOutcome("not-core", outcome.homomorphism, clock.nodes, clock.elapsed())
-        if outcome.status == "exhausted":
-            return CoreOutcome("exhausted", None, clock.nodes, clock.elapsed())
+        outcome = _solve(g, g, [full & ~(1 << v)] * g.order, clock)
+        if outcome.status != "none":
+            status = "not-core" if outcome.found else "exhausted"
+            return CoreOutcome(status, outcome.homomorphism, clock.nodes, clock.elapsed())
     return CoreOutcome("core", None, clock.nodes, clock.elapsed())
 
 

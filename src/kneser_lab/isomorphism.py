@@ -8,6 +8,7 @@ map found is re-verified by an independent checker before being returned.
 
 from __future__ import annotations
 
+from .budget import SearchBudget, resolve_budget
 from .graphs import Graph, bfs_distances, iter_bits, verify_homomorphism
 
 
@@ -55,8 +56,11 @@ def _joint_refinement(g: Graph, h: Graph) -> tuple[list[int], list[int]]:
         colors = new
 
 
-def are_isomorphic(g: Graph, h: Graph):
-    """A vertex bijection g -> h preserving adjacency both ways, or None."""
+def are_isomorphic(g: Graph, h: Graph, budget: SearchBudget | None = None):
+    """A vertex bijection g -> h preserving adjacency both ways, or None
+    after a completed search. Each search node ticks the budget; running
+    out raises BudgetExhausted."""
+    clock = resolve_budget(budget).start()
     n = g.order
     if n != h.order or g.edge_count != h.edge_count:
         return None
@@ -90,6 +94,7 @@ def are_isomorphic(g: Graph, h: Graph):
     mapping = [-1] * n
 
     def dfs(pos: int, used: int) -> bool:
+        clock.tick()
         if pos == n:
             return True
         u = order[pos]

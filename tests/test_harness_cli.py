@@ -127,11 +127,7 @@ def test_probe_reports_are_flagged():
     assert chi_rows and chi_rows[0].computed == 6 and chi_rows[0].status == "pass"
 
 
-def test_verify_all_report_digest(monkeypatch):
-    # Pins the whole `verify all --json` content except timings; a change
-    # that alters verify output must update this digest and say why.
-    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
-
+def _untimed_digest(reports) -> str:
     def untimed(value):
         if isinstance(value, dict):
             return {k: untimed(v) for k, v in value.items() if k != "seconds"}
@@ -139,8 +135,24 @@ def test_verify_all_report_digest(monkeypatch):
             return [untimed(v) for v in value]
         return value
 
-    blob = json.dumps(untimed(harness.reports_to_json(harness.run_all())), sort_keys=True)
-    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == "c9ec856370fea1ff"
+    blob = json.dumps(untimed(harness.reports_to_json(reports)), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def test_verify_all_report_digest(monkeypatch):
+    # Pins the whole `verify all --json` content except timings; a change
+    # that alters verify output must update this digest and say why.
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    assert _untimed_digest(harness.run_all()) == "c9ec856370fea1ff"
+
+
+def test_verify_homidem_square_report_digest(monkeypatch):
+    # Pins `verify homidem --square --json` except timings, which adds the
+    # three direct square searches (39, 75 and 345 nodes) that `verify all`
+    # leaves out.
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    reports = harness.run_hom_idempotence_suite(include_square_search=True)
+    assert _untimed_digest(reports) == "4bb0e8fd1237b8d5"
 
 
 def test_verify_json_deterministic(tmp_path):
@@ -235,7 +247,7 @@ def test_cli_budget_exhaustion_exit(capsys):
     [
         (["verify", "shifts"], 0),
         (["verify", "counts"], 0),
-        (["verify", "iso"], 0),
+        (["verify", "iso"], 3),
         (["verify", "chi"], 3),
         (["verify", "cores"], 3),
         (["verify", "homidem"], 3),
@@ -249,7 +261,8 @@ def test_cli_budget_exhaustion_exit(capsys):
     ids=lambda value: "_".join(value) if isinstance(value, list) else None,
 )
 def test_cli_small_budget_never_crashes(argv, code, capsys):
-    # the three grid suites run no budgeted solver, so they still pass
+    # the shift and count grids run no budgeted solver, so they still pass;
+    # the iso grid's searches need more than 10 nodes
     assert cli.main(["--budget", "10,1", *argv]) == code
     out = capsys.readouterr().out
     if argv == ["verify", "chi"]:
@@ -277,17 +290,30 @@ def test_cli_manifest_chi_must_match_closed_form(tmp_path, capsys, inst):
 
 @pytest.mark.parametrize(
     "case",
-    ["missing manifest", "chi on a directory", "hom on a directory", "no chi section", "empty"],
+    [
+        "missing manifest",
+        "chi on a directory",
+        "hom on a directory",
+        "no chi section",
+        "empty",
+        "grid without s_values",
+        "core without spec",
+        "json to a directory",
+    ],
 )
 def test_cli_bad_paths_and_manifests_exit_64(tmp_path, capsys, case):
     (tmp_path / "grid.json").write_text(json.dumps({"shift_grid": {"k_values": [2]}}))
     (tmp_path / "empty.json").write_text("{}")
+    (tmp_path / "cores.json").write_text(json.dumps({"core_instances": [{"core": True}]}))
     argv = {
         "missing manifest": ["verify", "all", "--manifest", str(tmp_path / "missing.json")],
         "chi on a directory": ["chi", str(tmp_path)],
         "hom on a directory": ["hom", str(tmp_path), "stable:n=7,k=2,s=2"],
         "no chi section": ["verify", "chi", "--manifest", str(tmp_path / "grid.json")],
         "empty": ["verify", "chi", "--manifest", str(tmp_path / "empty.json")],
+        "grid without s_values": ["verify", "shifts", "--manifest", str(tmp_path / "grid.json")],
+        "core without spec": ["verify", "cores", "--manifest", str(tmp_path / "cores.json")],
+        "json to a directory": ["verify", "counts", "--json", str(tmp_path)],
     }[case]
     assert cli.main(argv) == 64
     captured = capsys.readouterr()

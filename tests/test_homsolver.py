@@ -94,13 +94,10 @@ def test_budget_exhaustion_outcome():
 
 def test_core_test_spends_one_budget():
     g = stable_kneser(6, 2, 2)
-    costs = [
-        find_homomorphism(g, g, exclude_image=(v,), use_target_symmetry=False).nodes
-        for v in range(g.order)
-    ]
-    assert max(costs) < sum(costs) == is_core(g).nodes
-    out = is_core(g, SearchBudget(node_limit=max(costs), time_limit=None))
-    assert out.status == "exhausted"
+    total = is_core(g).nodes
+    assert is_core(g, SearchBudget(node_limit=total, time_limit=None)).status == "core"
+    out = is_core(g, SearchBudget(node_limit=total - 1, time_limit=None))
+    assert out.status == "exhausted" and out.nodes == total
 
 
 def test_retraction_of_c6_onto_edge():

@@ -1,6 +1,10 @@
 import random
 
+import pytest
+
 from helpers import random_graph
+from kneser_lab.budget import BudgetExhausted, SearchBudget
+from kneser_lab.families import circular_graph, stable_kneser
 from kneser_lab.graphs import (
     cartesian_product,
     complete_graph,
@@ -50,6 +54,13 @@ def test_non_isomorphic_same_counts():
     hexagon = cycle_graph(6)
     triangles = make_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     assert are_isomorphic(hexagon, triangles) is None
+
+
+def test_search_honours_the_budget():
+    g, h = circular_graph(17, 4), stable_kneser(17, 4, 4)
+    with pytest.raises(BudgetExhausted):
+        are_isomorphic(g, h, SearchBudget(5, None))
+    assert verify_isomorphism(g, h, are_isomorphic(g, h))
 
 
 def test_verify_rejects_non_bijection():
