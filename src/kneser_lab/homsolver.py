@@ -1,19 +1,18 @@
 """Homomorphism search, solver outcomes, and JSON certificates.
 
-The search engine, `_solve`, is backtracking over per-vertex candidate
-bitsets with arc consistency after every assignment, on the clock of the
-public call: homomorphisms, retractions and each core sub-search differ only
-in their start domains. Verified label symmetries of the target give one
-root candidate per orbit. A negative answer is only ever reported after a
-completed exhaustive search; every positive answer and every loaded
-certificate passes the map checker `graphs.verify_homomorphism`.
+`_solve` backtracks over per-vertex candidate bitsets on the clock of the
+public call; homomorphisms, retractions and core sub-searches differ only in
+their start domains. Arc consistency narrows whole domains: a changed domain
+of v cuts each neighbour of v to the union of the target neighbourhoods of
+v's candidates. Verified target symmetries give one root candidate per orbit.
+A negative answer only follows a completed search; every positive answer and
+loaded certificate passes the map checker `graphs.verify_homomorphism`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
 from dataclasses import dataclass
 
 from .budget import BudgetClock, BudgetExhausted, SearchBudget, resolve_budget
@@ -65,21 +64,20 @@ def _run_search(g: Graph, h: Graph, doms: list[int], clock: BudgetClock):
     tadj = h.adj
 
     def enforce(doms: list[int], seeds) -> bool:
-        queue = deque((w, u) for u in seeds for w in nbrs[u])
+        # a neighbour of v may only take values adjacent to some value of v
+        queue = set(seeds)
         while queue:
-            u, v = queue.popleft()
-            du, dv = doms[u], doms[v]
-            new = du
-            for a in iter_bits(du):
-                if not tadj[a] & dv:
-                    new &= ~(1 << a)
-            if new != du:
-                if not new:
-                    return False
-                doms[u] = new
-                for w in nbrs[u]:
-                    if w != v:
-                        queue.append((w, u))
+            v = queue.pop()
+            support = 0
+            for b in iter_bits(doms[v]):
+                support |= tadj[b]
+            for w in nbrs[v]:
+                new = doms[w] & support
+                if new != doms[w]:
+                    if not new:
+                        return False
+                    doms[w] = new
+                    queue.add(w)
         return True
 
     if not enforce(doms, range(n)):

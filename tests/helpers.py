@@ -7,7 +7,7 @@ gap arithmetic instead of pairwise distances. A disagreement means a bug.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from kneser_lab.graphs import Graph, make_graph
 
@@ -37,6 +37,17 @@ def brute_homomorphism_exists(g: Graph, h: Graph) -> bool:
     if n == 0:
         return True
     return extend(0)
+
+
+def brute_isomorphic(g: Graph, h: Graph) -> bool:
+    """Try every vertex permutation, comparing all vertex pairs."""
+    if g.order != h.order:
+        return False
+    pairs = list(combinations(range(g.order), 2))
+    return any(
+        all(g.has_edge(u, v) == h.has_edge(perm[u], perm[v]) for u, v in pairs)
+        for perm in permutations(range(g.order))
+    )
 
 
 def brute_independence_number(g: Graph) -> int:

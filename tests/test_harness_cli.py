@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -8,9 +9,9 @@ from kneser_lab.budget import BUDGET_ENV_VAR, SearchBudget
 from kneser_lab.claims import CLAIMS
 from kneser_lab.cliques import clique_number, independence_number
 from kneser_lab.dihedral import enumerate_shifts
-from kneser_lab.dimacs import read_dimacs
-from kneser_lab.families import stable_kneser
-from kneser_lab.graphs import induced_subgraph
+from kneser_lab.dimacs import read_dimacs, write_dimacs
+from kneser_lab.families import parse_family_spec, stable_kneser
+from kneser_lab.graphs import induced_subgraph, make_graph
 from kneser_lab.isomorphism import verify_isomorphism
 
 
@@ -99,8 +100,6 @@ def test_stable_pair_structures():
     assert clique.size == s + 1 and clique.vertices == (0, 1, 2, 3)
     s_sub = induced_subgraph(g, [index[v] for v in block_s])
     assert independence_number(s_sub).size == 2
-    mapping = harness.stable_pair_block_map(s)
-    assert verify_isomorphism(harness.stable_pair_circulant(s), s_sub, mapping)
 
 
 def test_manifest_is_configuration(tmp_path):
@@ -205,6 +204,19 @@ def test_cli_chi_core_hom_iso(capsys):
     assert "isomorphic" in capsys.readouterr().out
     assert cli.main(["iso", "cyclepow:n=6,a=1", "kneser:n=4,k=2"]) == 0
     assert "not isomorphic" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec", ["stable:n=12,k=2,s=2", "stable:n=14,k=2,s=3"])
+def test_cli_iso_finds_map_when_refinement_leaves_one_class(tmp_path, capsys, spec):
+    # refinement leaves one colour class, so the search alone must find the map
+    g = parse_family_spec(spec).build()
+    perm = random.Random(12).sample(range(g.order), g.order)
+    path = tmp_path / "relabelled.dimacs"
+    write_dimacs(make_graph(g.order, [(perm[u], perm[v]) for u, v in g.edges()]), path)
+    assert cli.main(["--budget", "100000,", "iso", str(path), spec]) == 0
+    verdict, printed_map = capsys.readouterr().out.splitlines()
+    assert verdict == "isomorphic"
+    assert verify_isomorphism(read_dimacs(path), g, json.loads(printed_map))
 
 
 def test_cli_chi_from_dimacs(tmp_path, capsys):

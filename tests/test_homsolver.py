@@ -85,6 +85,14 @@ def test_search_is_deterministic():
         assert first.homomorphism.mapping == second.homomorphism.mapping
 
 
+def test_square_search_tree_is_pinned():
+    # arc consistency has one fixpoint however it is reached, so the tree
+    # on this 324-vertex square must not change with the propagation code
+    g = stable_kneser(9, 2, 3)
+    out = find_homomorphism(cartesian_product(g, g), g, SearchBudget(2000, None))
+    assert (out.status, out.nodes) == ("none", 1499)
+
+
 def test_budget_exhaustion_outcome():
     g = stable_kneser(8, 2, 3)
     cay = cayley_dihedral(8, {rotation(i, 8) for i in (1, 2, 6, 7)})

@@ -1,8 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from helpers import random_graph
+from helpers import brute_isomorphic, random_graph
 from kneser_lab.budget import BudgetExhausted, SearchBudget
 from kneser_lab.families import circular_graph, stable_kneser
 from kneser_lab.graphs import (
@@ -54,6 +55,38 @@ def test_non_isomorphic_same_counts():
     hexagon = cycle_graph(6)
     triangles = make_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     assert are_isomorphic(hexagon, triangles) is None
+
+
+def test_search_agrees_with_permutation_oracle():
+    rng = random.Random(83)
+    seen = set()
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        g = random_graph(rng, n, 0.5)
+        if rng.random() < 0.5:
+            perm = rng.sample(range(n), n)
+            h = make_graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+        else:
+            h = make_graph(n, rng.sample(list(combinations(range(n), 2)), g.edge_count))
+        verdict = brute_isomorphic(g, h)
+        assert (are_isomorphic(g, h) is not None) == verdict
+        seen.add(verdict)
+    assert seen == {True, False}
+
+
+def test_refinement_blind_pair_is_refuted_by_search():
+    # the 4x4 rook's graph and the Shrikhande graph are both strongly
+    # regular (16,6,2,2): refinement gives one class, the search decides
+    rook = cartesian_product(complete_graph(4), complete_graph(4))
+    steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    shrikhande = make_graph(16, [
+        (u, v)
+        for u in range(16)
+        for v in range(u + 1, 16)
+        if ((v // 4 - u // 4) % 4, (v % 4 - u % 4) % 4) in steps
+    ])
+    assert shrikhande.edge_count == rook.edge_count == 48
+    assert are_isomorphic(rook, shrikhande) is None
 
 
 def test_search_honours_the_budget():
