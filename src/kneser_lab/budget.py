@@ -7,6 +7,7 @@ on it. Exhaustion is always reported as its own outcome (exception or
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -30,6 +31,14 @@ class BudgetExhausted(Exception):
 class SearchBudget:
     node_limit: int | None = DEFAULT_NODE_LIMIT
     time_limit: float | None = DEFAULT_TIME_LIMIT
+
+    def __post_init__(self):
+        if self.node_limit is not None and self.node_limit < 0:
+            raise ValueError(f"node limit must be >= 0, got {self.node_limit}")
+        if self.time_limit is not None and not (
+            math.isfinite(self.time_limit) and self.time_limit >= 0
+        ):
+            raise ValueError(f"time limit must be finite and >= 0, got {self.time_limit}")
 
     @classmethod
     def from_text(cls, text: str) -> "SearchBudget":

@@ -51,10 +51,11 @@ def _parse_range(text: str) -> list[int]:
     return [int(lo)]
 
 
-def _budget_from(args) -> SearchBudget | None:
+def _budget_from(args) -> SearchBudget:
+    """--budget, else KNESER_LAB_BUDGET, parsed before the command does any work."""
     if getattr(args, "budget", None):
         return SearchBudget.from_text(args.budget)
-    return None
+    return SearchBudget.from_env()
 
 
 def _cmd_construct(args) -> int:

@@ -1,8 +1,15 @@
 """Exact chromatic number, vertex-criticality audits, and closed-form values.
 
-The solver runs a saturation-ordered branch and bound between an exact
-clique lower bound and a greedy upper bound. Cross-validation against the
-homomorphism-to-complete-graph definition lives in the test suite.
+The solver runs DSATUR branch and bound (Brelaz, CACM 1979) between an
+exact clique lower bound and the greedy upper bound, which is the first
+descent of the same search. Saturation is kept incremental: one bitset per
+saturation level holds the uncoloured vertices that see that many colours,
+and colouring a vertex raises only those of its neighbours that did not
+already see its colour (undone on backtrack), so a node costs O(levels)
+bitset operations instead of a scan of every uncoloured vertex. The search
+runs on an explicit stack, so its depth is not bounded by Python's recursion
+limit. Cross-validation against the homomorphism-to-complete-graph
+definition and against the old max-scan search lives in the test suite.
 """
 
 from __future__ import annotations
@@ -23,61 +30,82 @@ class ColoringResult:
     nodes: int
 
 
-def _dsatur_greedy(g: Graph) -> tuple[int, tuple[int, ...]]:
+def _no_tick() -> None:
+    pass
+
+
+def _dsatur(g: Graph, k: int, tick) -> tuple[int, ...] | None:
+    """The first proper colouring with colours below k in DSATUR order, or None.
+
+    Each node colours the uncoloured vertex of highest saturation (ties to
+    higher degree, then lower index) with each colour in order, at most one
+    of them fresh, and calls `tick` once. Vertices are ranked once by
+    (degree descending, index ascending), so the branching vertex is the
+    lowest bit of the highest non-empty saturation level.
+    """
     n = g.order
-    colors = [-1] * n
-    forbidden = [0] * n  # bitmask of colors seen on neighbors
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    rank = [0] * n
+    for r, v in enumerate(order):
+        rank[v] = r
+    adj = [sum(1 << rank[w] for w in iter_bits(g.adj[v])) for v in order]
+    level = [0] * (k + 1)  # level[s]: uncoloured vertices seeing s colours
+    level[0] = (1 << n) - 1
+    sees = [0] * k  # sees[c]: vertices that were uncoloured when a neighbour got c
+    coloured = 0
+    stack = []  # (vertex, its level, colour, used before, neighbours raised)
     used = 0
-    for _ in range(n):
-        u = max(
-            (v for v in range(n) if colors[v] < 0),
-            key=lambda v: (forbidden[v].bit_count(), g.degree(v), -v),
-        )
-        c = 0
-        while forbidden[u] >> c & 1:
+    while True:
+        tick()
+        if len(stack) == n:
+            colors = [0] * n
+            for u, _, c, _, _ in stack:
+                colors[order[u]] = c
+            return tuple(colors)
+        s = used
+        while not level[s]:
+            s -= 1
+        bit = level[s] & -level[s]
+        u = bit.bit_length() - 1
+        level[s] ^= bit
+        c = -1
+        while True:  # the next colour for u, backtracking while none is left
+            # new colours enter in index order, so cap at one fresh colour
+            limit = min(used + 1, k)
             c += 1
-        colors[u] = c
-        used = max(used, c + 1)
-        for w in iter_bits(g.adj[u]):
-            forbidden[w] |= 1 << c
-    return used, tuple(colors)
-
-
-def _decide_colorable(g: Graph, k: int, clock: BudgetClock):
-    """A proper k-coloring of g, or None after exhaustive search."""
-    n = g.order
-    if n == 0:
-        return ()
-    if k <= 0:
-        return None
-    colors = [-1] * n
-    forbidden = [0] * n
-
-    def dfs(assigned: int, used: int) -> bool:
-        clock.tick()
-        if assigned == n:
-            return True
-        u = max(
-            (v for v in range(n) if colors[v] < 0),
-            key=lambda v: (forbidden[v].bit_count(), g.degree(v), -v),
-        )
-        # new colors enter in index order, so cap at one fresh color
-        for c in range(min(used + 1, k)):
-            if forbidden[u] >> c & 1:
-                continue
-            colors[u] = c
-            touched = []
-            for w in iter_bits(g.adj[u]):
-                touched.append((w, forbidden[w]))
-                forbidden[w] |= 1 << c
-            if dfs(assigned + 1, max(used, c + 1)):
-                return True
-            for w, old in touched:
-                forbidden[w] = old
-            colors[u] = -1
-        return False
-
-    return tuple(colors) if dfs(0, 0) else None
+            while c < limit and sees[c] >> u & 1:
+                c += 1
+            if c < limit:
+                break
+            level[s] |= bit
+            if not stack:
+                return None
+            u, s, c, used, raised = stack.pop()
+            bit = 1 << u
+            coloured ^= bit
+            sees[c] ^= raised
+            t = 1  # each raised vertex sits one level up; lower them bottom-up
+            while raised:
+                x = level[t] & raised
+                if x:
+                    level[t] ^= x
+                    level[t - 1] |= x
+                    raised ^= x
+                t += 1
+        raised = adj[u] & ~(sees[c] | coloured)
+        stack.append((u, s, c, used, raised))
+        coloured |= bit
+        sees[c] |= raised
+        t = used  # saturation is at most `used`; raise top-down, once each
+        while raised:
+            x = level[t] & raised
+            if x:
+                level[t] ^= x
+                level[t + 1] |= x
+                raised ^= x
+            t -= 1
+        if c == used:
+            used += 1
 
 
 def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> ColoringResult:
@@ -90,10 +118,10 @@ def _chromatic(g: Graph, clock: BudgetClock) -> ColoringResult:
     if g.order == 0:
         return ColoringResult(0, (), (), clock.nodes)
     lower, clique = _max_clique(g, clock)
-    upper, greedy = _dsatur_greedy(g)
-    chi, coloring = upper, greedy
-    for k in range(lower, upper):
-        attempt = _decide_colorable(g, k, clock)
+    coloring = _dsatur(g, g.order, _no_tick)  # greedy: one descent, never stuck
+    chi = max(coloring) + 1
+    for k in range(lower, chi):
+        attempt = _dsatur(g, k, clock.tick)
         if attempt is not None:
             chi, coloring = k, attempt
             break

@@ -3,13 +3,16 @@
 Everything here is deliberately written along different lines than the
 package code: plain recursion without propagation, direct subset sweeps,
 gap arithmetic instead of pairwise distances. A disagreement means a bug.
+The one exception is `reference_dsatur`, the max-scan colouring search that
+the incremental kernel in `coloring` must reproduce node for node.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from kneser_lab.graphs import Graph, make_graph
+from kneser_lab.budget import BudgetClock
+from kneser_lab.graphs import Graph, iter_bits, make_graph
 
 
 def brute_homomorphism_exists(g: Graph, h: Graph) -> bool:
@@ -92,6 +95,77 @@ def brute_chromatic_number(g: Graph) -> int:
     while not colorable(k):
         k += 1
     return k
+
+
+def reference_dsatur(g: Graph, k: int | None = None, clock: BudgetClock | None = None):
+    """DSATUR with a full max(...) saturation scan at every node.
+
+    With k None, the greedy colouring as (colours used, colouring). Otherwise
+    a proper k-colouring or None after exhaustive search, ticking `clock` once
+    per node. Same branching vertex, colour order and fresh-colour cap as
+    `coloring._dsatur`, so colourings and node counts must agree exactly.
+    """
+    if k is None:
+        return _reference_greedy(g)
+    return _reference_decide(g, k, clock)
+
+
+def _reference_greedy(g: Graph) -> tuple[int, tuple[int, ...]]:
+    n = g.order
+    colors = [-1] * n
+    forbidden = [0] * n  # bitmask of colors seen on neighbors
+    used = 0
+    for _ in range(n):
+        u = max(
+            (v for v in range(n) if colors[v] < 0),
+            key=lambda v: (forbidden[v].bit_count(), g.degree(v), -v),
+        )
+        c = 0
+        while forbidden[u] >> c & 1:
+            c += 1
+        colors[u] = c
+        used = max(used, c + 1)
+        for w in iter_bits(g.adj[u]):
+            forbidden[w] |= 1 << c
+    return used, tuple(colors)
+
+
+def _reference_decide(g: Graph, k: int, clock: BudgetClock):
+    """A proper k-coloring of g, or None after exhaustive search."""
+    n = g.order
+    if n == 0:
+        return ()
+    if k <= 0:
+        return None
+    colors = [-1] * n
+    forbidden = [0] * n
+
+    def dfs(assigned: int, used: int) -> bool:
+        clock.tick()
+        if assigned == n:
+            return True
+        u = max(
+            (v for v in range(n) if colors[v] < 0),
+            key=lambda v: (forbidden[v].bit_count(), g.degree(v), -v),
+        )
+        # new colors enter in index order, so cap at one fresh color
+        for c in range(min(used + 1, k)):
+            if forbidden[u] >> c & 1:
+                continue
+            colors[u] = c
+            touched = []
+            for w in iter_bits(g.adj[u]):
+                touched.append((w, forbidden[w]))
+                forbidden[w] |= 1 << c
+            if dfs(assigned + 1, max(used, c + 1)):
+                return True
+            for w, old in touched:
+                forbidden[w] = old
+            colors[u] = -1
+        return False
+
+    return tuple(colors) if dfs(0, 0) else None
+
 
 
 def stable_subsets_by_gaps(n: int, k: int, s: int) -> set[tuple[int, ...]]:

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
-from helpers import brute_chromatic_number, random_graph
+from helpers import brute_chromatic_number, random_graph, reference_dsatur
 from kneser_lab.budget import BudgetExhausted, SearchBudget
+from kneser_lab.cliques import clique_number
 from kneser_lab.coloring import (
+    _dsatur,
+    _no_tick,
     chromatic_number,
     closed_form_chi,
     is_chi_critical,
@@ -63,6 +66,49 @@ def test_chi_agrees_with_hom_to_clique():
         assert find_homomorphism(g, complete_graph(chi)).status == "found"
         if chi > 1:
             assert find_homomorphism(g, complete_graph(chi - 1)).status == "none"
+
+
+def test_dsatur_kernel_matches_max_scan_reference():
+    # the incremental kernel must walk the max-scan search tree node for node
+    rng = random.Random(79)
+    graphs = [
+        random_graph(rng, rng.randint(1, 20), rng.choice([0.2, 0.4, 0.6, 0.8]))
+        for _ in range(120)
+    ]
+    graphs += [
+        parse_family_spec(text).build()
+        for text in (
+            "stable:n=8,k=2,s=3",
+            "stable:n=9,k=2,s=2",
+            "kneser:n=7,k=2",
+            "circular:n=11,k=3",
+            "cyclepow:n=11,a=2",
+        )
+    ]
+    for g in graphs:
+        upper, greedy = reference_dsatur(g)
+        assert _dsatur(g, g.order, _no_tick) == greedy
+        for k in range(clique_number(g).size, upper + 1):
+            old, new = SearchBudget(None, None).start(), SearchBudget(None, None).start()
+            assert _dsatur(g, k, new.tick) == reference_dsatur(g, k, old)
+            assert new.nodes == old.nodes
+
+
+@pytest.mark.parametrize(
+    "text, nodes, chi",
+    [
+        ("stable:n=10,k=2,s=2", 5_606, 8),
+        ("stable:n=9,k=3,s=2", 6_135, 5),
+        ("kneser:n=9,k=2", 1_613, 7),
+        ("kneser:n=9,k=3", 2_241, 5),
+        ("kneser:n=10,k=4", 4_239, 4),
+        ("stable:n=11,k=2,s=2", 84_705, 9),
+    ],
+)
+def test_chi_exact_search_trees_are_pinned(text, nodes, chi):
+    # a pruning change must update these counts on purpose
+    result = chromatic_number(parse_family_spec(text).build())
+    assert (result.nodes, result.chi) == (nodes, chi)
 
 
 def test_criticality_small():

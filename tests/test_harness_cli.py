@@ -254,6 +254,29 @@ def test_cli_budget_exhaustion_exit(capsys):
     assert "exhausted" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n", [999, 1201])
+def test_cli_chi_on_long_cycles(n, capsys):
+    # the colouring search is as deep as the graph is large
+    assert cli.main(["chi", f"cyclepow:n={n},a=1"]) == 0
+    assert capsys.readouterr().out.startswith("chi = 3\n")
+
+
+def test_cli_rejects_nonsense_budgets(monkeypatch, capsys):
+    for text in ("-5,", "100,-1", "100,nan", "100,inf", "-1,-1"):
+        with pytest.raises(ValueError):
+            SearchBudget.from_text(text)
+        assert cli.main([f"--budget={text}", "chi", "stable:n=7,k=2,s=3"]) == 64
+        monkeypatch.setenv(BUDGET_ENV_VAR, text)
+        assert cli.main(["chi", "stable:n=7,k=2,s=3"]) == 64
+        assert cli.main(["verify", "shifts"]) == 64
+        monkeypatch.delenv(BUDGET_ENV_VAR)
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("kneser-lab: error: ") == 3
+    # a zero node limit is legal: the search stops at its first node
+    assert SearchBudget.from_text("0,0") == SearchBudget(0, 0.0)
+    assert cli.main(["--budget=0,", "chi", "stable:n=7,k=2,s=3"]) == 3
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
