@@ -31,14 +31,13 @@ from .dihedral import (
     predicted_shifts,
     rotation,
 )
-from .dimacs import dimacs_dumps, dimacs_loads, read_dimacs, write_dimacs
+from .dimacs import dimacs_dumps, dimacs_loads, read_dimacs
 from .families import (
     FamilySpec,
     cayley_dihedral,
     circulant,
     circular_graph,
     cycle_power,
-    embed_circular_in_kneser,
     enumerate_stable_subsets,
     kneser,
     parse_family_spec,
@@ -49,7 +48,6 @@ from .families import (
 from .graphs import (
     Graph,
     GraphError,
-    audit_graph,
     cartesian_product,
     complement,
     complete_graph,
@@ -57,11 +55,8 @@ from .graphs import (
     cycle_graph,
     delete_vertex,
     disjoint_union,
-    empty_graph,
-    graph_power,
     induced_subgraph,
     make_graph,
-    path_graph,
     verify_homomorphism,
 )
 from .homsolver import (
@@ -69,7 +64,6 @@ from .homsolver import (
     Homomorphism,
     SolveOutcome,
     find_homomorphism,
-    find_retraction,
     is_core,
     normal_cayley_self_hom,
 )

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budget import SearchBudget, resolve_budget
-from .graphs import Graph, complement, complete_graph, verify_homomorphism
+from .graphs import Graph, complement
 
 
 @dataclass(frozen=True)
@@ -50,28 +50,38 @@ def _max_clique(g: Graph, clock) -> tuple[int, tuple[int, ...]]:
     adj = g.adj
     best_size = 0
     best: tuple[int, ...] = ()
-    current: list[int] = []
+    current: list[int] = []  # the clique being extended, of `size` vertices
+    size = 0
 
-    def expand(pmask: int) -> None:
-        nonlocal best_size, best
-        clock.tick()
-        if not pmask:
-            if len(current) > best_size:
-                best_size = len(current)
-                best = tuple(current)
-            return
-        verts, bounds = _color_sort(pmask, adj)
-        avail = pmask
-        for i in range(len(verts) - 1, -1, -1):
-            if len(current) + bounds[i] <= best_size:
-                return
+    # depth first on an explicit stack of suspended frames: colour-sorted
+    # candidates, their bounds, the next index and the candidates left
+    clock.tick()
+    avail = (1 << n) - 1
+    verts, bounds = _color_sort(avail, adj)
+    i = n - 1
+    stack = []
+    while True:
+        while i >= 0 and size + bounds[i] > best_size:
             v = verts[i]
-            current.append(v)
-            expand(avail & adj[v])
-            current.pop()
+            i -= 1
+            pmask = avail & adj[v]
             avail &= ~(1 << v)
-
-    expand((1 << n) - 1)
+            clock.tick()
+            if not pmask:
+                if size >= best_size:
+                    best_size = size + 1
+                    best = (*current, v)
+                continue
+            stack.append((verts, bounds, i, avail))
+            current.append(v)
+            size += 1
+            verts, bounds = _color_sort(pmask, adj)
+            i, avail = len(verts) - 1, pmask
+        if not stack:
+            break
+        verts, bounds, i, avail = stack.pop()
+        current.pop()
+        size -= 1
     return best_size, tuple(sorted(best))
 
 
@@ -87,13 +97,3 @@ def independence_number(g: Graph, budget: SearchBudget | None = None) -> Extrema
     clock = resolve_budget(budget).start()
     size, witness = _max_clique(complement(g), clock)
     return ExtremalSet(size, witness, clock.nodes)
-
-
-def is_clique(g: Graph, vertices) -> bool:
-    """Distinct vertices of g, pairwise adjacent: a homomorphism from K_m."""
-    vs = tuple(vertices)
-    return verify_homomorphism(complete_graph(len(vs)), g, vs)
-
-
-def is_independent_set(g: Graph, vertices) -> bool:
-    return is_clique(complement(g), vertices)

@@ -211,26 +211,10 @@ def is_shift(e: DihedralElement, g: Graph) -> tuple[bool, int | None]:
 
 @dataclass(frozen=True)
 class ShiftSet:
-    n: int
-    k: int
-    s: int
     members: frozenset
-    provenance: str  # "brute-force" | "formula"
 
     def texts(self) -> tuple[str, ...]:
         return tuple(str(e) for e in sorted(self.members, key=DihedralElement.sort_key))
-
-    def rotation_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(e.index for e in self.members if e.is_rotation))
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "s": self.s,
-            "elements": list(self.texts()),
-            "provenance": self.provenance,
-        }
 
 
 def enumerate_shifts(g: Graph) -> ShiftSet:
@@ -243,8 +227,7 @@ def enumerate_shifts(g: Graph) -> ShiftSet:
     members = frozenset(
         e for e, perm in table.items() if all(g.has_edge(u, v) for u, v in enumerate(perm))
     )
-    s = min(min(l.gaps()) for l in labels)
-    return ShiftSet(n, labels[0].k, s, members, "brute-force")
+    return ShiftSet(members)
 
 
 def predicted_shift_indices(n: int, k: int, s: int) -> set[int]:
@@ -269,7 +252,7 @@ def predicted_shift_indices(n: int, k: int, s: int) -> set[int]:
 
 def predicted_shifts(n: int, k: int, s: int) -> ShiftSet:
     members = frozenset(rotation(i, n) for i in predicted_shift_indices(n, k, s))
-    return ShiftSet(n, k, s, members, "formula")
+    return ShiftSet(members)
 
 
 def non_shift_witness(e: DihedralElement, n: int, k: int, s: int) -> KSubset:

@@ -24,10 +24,6 @@ def dimacs_dumps(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_dimacs(g: Graph, path) -> None:
-    Path(path).write_text(dimacs_dumps(g))
-
-
 def dimacs_loads(text: str) -> Graph:
     order = None
     edges = []

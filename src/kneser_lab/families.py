@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import dihedral
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph
 from .isomorphism import verify_isomorphism
 from .labels import CyclicElem, KSubset
-from .modn import mod1
 
 
 def enumerate_stable_subsets(n: int, k: int, s: int) -> list[KSubset]:
@@ -155,29 +154,6 @@ def prop_iso_map(k: int, s: int) -> tuple[int, ...]:
     source = circular_graph(k * s + 1, k)
     if not verify_isomorphism(source, target, mapping):
         raise RuntimeError("explicit circulant map failed the isomorphism checker")
-    return mapping
-
-
-def circular_interval(n: int, start: int, k: int) -> KSubset:
-    """The k-subset {start+1, ..., start+k} modulo [n]."""
-    return KSubset(tuple(sorted(mod1(start + t, n) for t in range(1, k + 1))), n)
-
-
-def embed_circular_in_kneser(n: int, k: int) -> tuple[int, ...]:
-    """Map vertex u of circular_graph(n, k) to the interval {u+1, ..., u+k}.
-
-    The image is the set of n circular intervals of length k; the map is an
-    isomorphism onto the subgraph they induce in kneser(n, k), and that is
-    verified here.
-    """
-    big = kneser(n, k)
-    index = big.label_index()
-    images = [circular_interval(n, u, k) for u in range(n)]
-    mapping = tuple(index[v] for v in images)
-    rank = {v: i for i, v in enumerate(sorted(mapping))}
-    local = tuple(rank[v] for v in mapping)
-    if not verify_isomorphism(circular_graph(n, k), induced_subgraph(big, mapping), local):
-        raise RuntimeError("interval embedding failed the isomorphism checker")
     return mapping
 
 

@@ -45,9 +45,6 @@ class Graph:
     def degree(self, u: int) -> int:
         return self.adj[u].bit_count()
 
-    def neighbors(self, u: int) -> Iterator[int]:
-        return iter_bits(self.adj[u])
-
     @property
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
@@ -80,10 +77,6 @@ def make_graph(order: int, edges: Iterable[tuple[int, int]], labels=None) -> Gra
     return Graph(order, tuple(adj), tuple(labels) if labels is not None else None)
 
 
-def empty_graph(n: int) -> Graph:
-    return make_graph(n, ())
-
-
 def complete_graph(n: int) -> Graph:
     full = (1 << n) - 1
     return Graph(n, tuple(full & ~(1 << u) for u in range(n)))
@@ -93,25 +86,6 @@ def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise GraphError("a cycle needs at least 3 vertices")
     return make_graph(n, [(u, (u + 1) % n) for u in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return make_graph(n, [(u, u + 1) for u in range(n - 1)])
-
-
-def audit_graph(g: Graph) -> bool:
-    """Structural audit: symmetry, irreflexivity, in-range bits, sane labels."""
-    for u in range(g.order):
-        if g.adj[u] >> u & 1:
-            raise GraphError(f"loop at vertex {u}")
-        if g.adj[u] >> g.order:
-            raise GraphError(f"adjacency bits beyond order in row {u}")
-        for v in iter_bits(g.adj[u]):
-            if not g.adj[v] >> u & 1:
-                raise GraphError(f"asymmetric adjacency for pair ({u},{v})")
-    if g.labels is not None and len(set(g.labels)) != g.order:
-        raise GraphError("duplicate labels")
-    return True
 
 
 def verify_homomorphism(g: Graph, h: Graph, mapping) -> bool:
@@ -170,20 +144,6 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
                     nxt.append(v)
         frontier = nxt
     return dist
-
-
-def graph_power(g: Graph, p: int) -> Graph:
-    """Join vertices at distance 1..p in g; components never merge."""
-    if p < 1:
-        raise GraphError("graph power requires p >= 1")
-    adj = [0] * g.order
-    for u in range(g.order):
-        row = 0
-        for v, d in enumerate(bfs_distances(g, u)):
-            if 1 <= d <= p:
-                row |= 1 << v
-        adj[u] = row
-    return Graph(g.order, tuple(adj), g.labels)
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:

@@ -112,14 +112,23 @@ def _manifest(manifest, *sections) -> dict:
     for key in sections:
         if not isinstance(manifest, dict) or key not in manifest:
             raise ValueError(f"manifest has no {key!r} section")
+        if not isinstance(manifest[key], (dict, list)):
+            raise ValueError(f"manifest section {key!r} must be an object or a list")
     return manifest
 
 
-def _field(entry, key):
-    """entry[key] for a manifest entry, which must hold it."""
+_KINDS = {int: "an integer", bool: "true or false", str: "a string", list: "a list of integers"}
+
+
+def _field(entry, key, kind=int):
+    """entry[key] for a manifest entry, which must hold it as `kind`: int, bool,
+    str, or list (of ints). A bool does not count as an int."""
     if not isinstance(entry, dict) or key not in entry:
         raise ValueError(f"manifest entry {json.dumps(entry)} has no {key!r}")
-    return entry[key]
+    value = entry[key]
+    if type(value) is not kind or (kind is list and any(type(x) is not int for x in value)):
+        raise ValueError(f"manifest field {key!r} must be {_KINDS[kind]}, got {json.dumps(value)}")
+    return value
 
 
 def _sort_reports(reports):
@@ -134,8 +143,8 @@ def run_shift_grid(manifest=None) -> list[VerificationReport]:
     """Brute-force shifts vs the closed-form prediction, plus reflexion audits."""
     cfg = _manifest(manifest, "shift_grid")["shift_grid"]
     reports = []
-    for k in sorted(_field(cfg, "k_values")):
-        for s in sorted(_field(cfg, "s_values")):
+    for k in sorted(_field(cfg, "k_values", list)):
+        for s in sorted(_field(cfg, "s_values", list)):
             for n in range(s * k + 1, min((k + 2) * s, _field(cfg, "n_cap")) + 1):
                 g = stable_kneser(n, k, s)
                 params = {"n": n, "k": k, "s": s}
@@ -164,8 +173,8 @@ def run_shift_grid(manifest=None) -> list[VerificationReport]:
 def run_count_grid(manifest=None) -> list[VerificationReport]:
     cfg = _manifest(manifest, "counting_grid")["counting_grid"]
     reports = []
-    for k in sorted(_field(cfg, "k_values")):
-        for s in sorted(_field(cfg, "s_values")):
+    for k in sorted(_field(cfg, "k_values", list)):
+        for s in sorted(_field(cfg, "s_values", list)):
             n = k * s + 1
             g = stable_kneser(n, k, s)
             params = {"k": k, "s": s}
@@ -182,8 +191,8 @@ def run_count_grid(manifest=None) -> list[VerificationReport]:
 def run_prop_iso(budget=None, manifest=None) -> list[VerificationReport]:
     cfg = _manifest(manifest, "iso_grid")["iso_grid"]
     reports = []
-    for k in sorted(_field(cfg, "k_values")):
-        for s in sorted(_field(cfg, "s_values")):
+    for k in sorted(_field(cfg, "k_values", list)):
+        for s in sorted(_field(cfg, "s_values", list)):
             params = {"k": k, "s": s}
             source = circular_graph(k * s + 1, k)
             target = stable_kneser(k * s + 1, k, s)
@@ -219,15 +228,18 @@ def stable_pair_sets(s: int) -> tuple[list[KSubset], list[KSubset]]:
 
 def run_chi_suite(budget=None, manifest=None) -> list[VerificationReport]:
     man = _manifest(manifest, "chi_instances", "chi_lower_bound_s")
+    lower_bound_s = _field(man, "chi_lower_bound_s", list)
     reports = []
     for inst in man["chi_instances"]:
-        spec = parse_family_spec(_field(inst, "spec"))
+        spec = parse_family_spec(_field(inst, "spec", str))
+        chi = _field(inst, "chi")
+        critical = _field(inst, "critical", bool) if "critical" in inst else None
         formula = coloring.closed_form_chi(spec)
         if formula.conjectural:
             raise ValueError(f"suite instance {spec.text} has no proven closed form")
-        if formula.value != _field(inst, "chi"):
+        if formula.value != chi:
             raise ValueError(
-                f"suite instance {spec.text} lists chi={inst['chi']}, "
+                f"suite instance {spec.text} lists chi={chi}, "
                 f"but the closed form gives {formula.value}"
             )
         params = {"spec": spec.text}
@@ -254,11 +266,11 @@ def run_chi_suite(budget=None, manifest=None) -> list[VerificationReport]:
                     evidence["witness_label"] = str(g.labels[audit.witness])
             return audit.critical, evidence
 
-        reports.append(_row("chi-exact", params, inst["chi"], exact))
-        if "critical" in inst:
-            claim = "chi-critical" if inst["critical"] else "chi-not-critical"
-            reports.append(_row(claim, params, inst["critical"], criticality))
-    for s in man["chi_lower_bound_s"]:
+        reports.append(_row("chi-exact", params, chi, exact))
+        if critical is not None:
+            claim = "chi-critical" if critical else "chi-not-critical"
+            reports.append(_row(claim, params, critical, criticality))
+    for s in lower_bound_s:
         n = 2 * s + 2
         g = stable_kneser(n, 2, s)
         block_s, block_t = stable_pair_sets(s)
@@ -329,9 +341,9 @@ def run_core_suite(budget=None, manifest=None) -> list[VerificationReport]:
     man = _manifest(manifest, "core_instances")
     reports = []
     for inst in man["core_instances"]:
-        spec = parse_family_spec(_field(inst, "spec"))
+        spec = parse_family_spec(_field(inst, "spec", str))
         g = spec.build()
-        expected = "core" if _field(inst, "core") else "not-core"
+        expected = "core" if _field(inst, "core", bool) else "not-core"
         reports.append(_core_row(g, {"spec": spec.text}, expected, budget, order=g.order))
     return _sort_reports(reports)
 

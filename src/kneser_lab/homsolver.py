@@ -1,10 +1,10 @@
 """Homomorphism search, solver outcomes, and JSON certificates.
 
 `_solve` backtracks over per-vertex candidate bitsets on the clock of the
-public call; homomorphisms, retractions and core sub-searches differ only in
-their start domains. Arc consistency narrows whole domains: a changed domain
-of v cuts each neighbour of v to the union of the target neighbourhoods of
-v's candidates. Verified target symmetries give one root candidate per orbit.
+public call; homomorphisms and core sub-searches differ only in their start
+domains. Arc consistency narrows whole domains: a changed domain of v cuts
+each neighbour of v to the union of the target neighbourhoods of v's
+candidates. Verified target symmetries give one root candidate per orbit.
 A negative answer only follows a completed search; every positive answer and
 loaded certificate passes the map checker `graphs.verify_homomorphism`.
 """
@@ -21,7 +21,6 @@ from .graphs import (
     Graph,
     cartesian_product,
     complete_graph,
-    induced_subgraph,
     iter_bits,
     verify_homomorphism,
 )
@@ -37,10 +36,6 @@ class Homomorphism:
 
     def image(self) -> set[int]:
         return set(self.mapping)
-
-    @property
-    def surjective(self) -> bool:
-        return len(self.image()) == self.target_order
 
 
 @dataclass(frozen=True)
@@ -83,7 +78,8 @@ def _run_search(g: Graph, h: Graph, doms: list[int], clock: BudgetClock):
     if not enforce(doms, range(n)):
         return None
 
-    def dfs(doms: list[int]):
+    def branch_vertex(doms: list[int]) -> int:
+        # a search node: the undecided vertex with the fewest candidates, or -1
         clock.tick()
         best = -1
         best_count = 1 << 62
@@ -91,20 +87,32 @@ def _run_search(g: Graph, h: Graph, doms: list[int], clock: BudgetClock):
             c = doms[u].bit_count()
             if 1 < c < best_count:
                 best, best_count = u, c
-        if best < 0:
-            # arc consistency with all-singleton domains is a solution
-            return tuple(d.bit_length() - 1 for d in doms)
-        for a in iter_bits(doms[best]):
+        return best
+
+    # arc consistency with all-singleton domains is a solution
+    best = branch_vertex(doms)
+    if best < 0:
+        return tuple(d.bit_length() - 1 for d in doms)
+    # depth first on an explicit stack of (domains, branching vertex, untried
+    # candidate bits), so the search depth is not bounded by the recursion limit
+    stack = [(doms, best, doms[best])]
+    while stack:
+        doms, best, untried = stack.pop()
+        while untried:
+            low = untried & -untried
+            untried ^= low
             clock.tick()
             child = doms.copy()
-            child[best] = 1 << a
-            if enforce(child, (best,)):
-                result = dfs(child)
-                if result is not None:
-                    return result
-        return None
-
-    return dfs(doms)
+            child[best] = low
+            if not enforce(child, (best,)):
+                continue
+            nxt = branch_vertex(child)
+            if nxt < 0:
+                return tuple(d.bit_length() - 1 for d in child)
+            if untried:
+                stack.append((doms, best, untried))
+            doms, best, untried = child, nxt, child[nxt]
+    return None
 
 
 def _solve(g: Graph, h: Graph, doms: list[int], clock: BudgetClock) -> SolveOutcome:
@@ -142,33 +150,12 @@ def find_homomorphism(
     return _solve(g, h, doms, clock)
 
 
-def find_retraction(g: Graph, keep, budget: SearchBudget | None = None) -> SolveOutcome:
-    """Search for a homomorphism of g onto the subgraph induced by `keep`
-    that fixes every kept vertex. Mapping values index the induced subgraph."""
-    kept = tuple(sorted(set(keep)))
-    if not kept or kept[0] < 0 or kept[-1] >= g.order:
-        raise ValueError(f"keep set {kept} invalid for order {g.order}")
-    h = induced_subgraph(g, kept)
-    pins = {v: 1 << i for i, v in enumerate(kept)}
-    doms = [pins.get(u, (1 << h.order) - 1) for u in range(g.order)]
-    outcome = _solve(g, h, doms, resolve_budget(budget).start())
-    if outcome.found:
-        mapping = outcome.homomorphism.mapping
-        if any(mapping[v] != i for i, v in enumerate(kept)):
-            raise RuntimeError("retraction search violated a fixed point")
-    return outcome
-
-
 @dataclass(frozen=True)
 class CoreOutcome:
     status: str  # "core" | "not-core" | "exhausted"
     witness: Homomorphism | None
     nodes: int
     seconds: float
-
-    @property
-    def is_core(self) -> bool:
-        return self.status == "core"
 
 
 def is_core(g: Graph, budget: SearchBudget | None = None) -> CoreOutcome:

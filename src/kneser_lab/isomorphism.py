@@ -73,28 +73,44 @@ def are_isomorphic(g: Graph, h: Graph, budget: SearchBudget | None = None):
     full = (1 << n) - 1
     mapping = [-1] * n
 
-    def dfs(doms: dict[int, int]) -> bool:
+    def branch_vertex(doms: dict[int, int]) -> int:
+        # a search node: the unplaced vertex with the fewest candidates, or -1
         clock.tick()
-        if not doms:
+        return min(doms, key=lambda x: (doms[x].bit_count(), x)) if doms else -1
+
+    def search(doms: dict[int, int]) -> bool:
+        # depth first on an explicit stack of (domains, branching vertex,
+        # untried candidate bits), so depth is not bounded by the recursion limit
+        u = branch_vertex(doms)
+        if u < 0:
             return True
-        u = min(doms, key=lambda x: (doms[x].bit_count(), x))
-        for w in iter_bits(doms[u]):
-            # leaving w out of every other domain keeps the map injective
-            near, far = h.adj[w], full & ~h.adj[w] & ~(1 << w)
-            child = {}
-            for x, d in doms.items():
-                if x != u:
-                    d &= near if g.adj[u] >> x & 1 else far
-                    if not d:
-                        break
-                    child[x] = d
-            else:
-                mapping[u] = w
-                if dfs(child):
-                    return True
+        stack = [(doms, u, doms[u])]
+        while stack:
+            doms, u, untried = stack.pop()
+            while untried:
+                low = untried & -untried
+                untried ^= low
+                w = low.bit_length() - 1
+                # leaving w out of every other domain keeps the map injective
+                near, far = h.adj[w], full & ~h.adj[w] & ~low
+                child = {}
+                for x, d in doms.items():
+                    if x != u:
+                        d &= near if g.adj[u] >> x & 1 else far
+                        if not d:
+                            break
+                        child[x] = d
+                else:
+                    mapping[u] = w
+                    nxt = branch_vertex(child)
+                    if nxt < 0:
+                        return True
+                    if untried:
+                        stack.append((doms, u, untried))
+                    doms, u, untried = child, nxt, child[nxt]
         return False
 
-    if not dfs({u: sum(1 << w for w in range(n) if ch[w] == cg[u]) for u in range(n)}):
+    if not search({u: sum(1 << w for w in range(n) if ch[w] == cg[u]) for u in range(n)}):
         return None
     result = tuple(mapping)
     if not verify_isomorphism(g, h, result):

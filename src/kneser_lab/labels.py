@@ -29,10 +29,6 @@ class KSubset:
         if any(a >= b for a, b in zip(els, els[1:])):
             raise ValueError(f"elements must be strictly increasing: {els}")
 
-    @property
-    def k(self) -> int:
-        return len(self.elements)
-
     def gaps(self) -> tuple[int, ...]:
         """Clockwise gaps between consecutive elements; k values summing to ambient."""
         els = self.elements

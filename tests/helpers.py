@@ -1,4 +1,4 @@
-"""Independent oracles used to cross-check the solvers.
+"""Independent oracles used to cross-check the solvers, and fixture graphs.
 
 Everything here is deliberately written along different lines than the
 package code: plain recursion without propagation, direct subset sweeps,
@@ -13,6 +13,36 @@ from itertools import combinations, permutations
 
 from kneser_lab.budget import BudgetClock
 from kneser_lab.graphs import Graph, iter_bits, make_graph
+
+
+def empty_graph(n: int) -> Graph:
+    return make_graph(n, ())
+
+
+def path_graph(n: int) -> Graph:
+    return make_graph(n, [(u, u + 1) for u in range(n - 1)])
+
+
+def audit_graph(g: Graph) -> bool:
+    """Structural audit: symmetric, loop-free rows inside range, distinct labels."""
+    rows_ok = all(
+        not g.adj[u] >> u & 1
+        and not g.adj[u] >> g.order
+        and all(g.adj[v] >> u & 1 for v in iter_bits(g.adj[u]))
+        for u in range(g.order)
+    )
+    labels_ok = g.labels is None or len(set(g.labels)) == g.order
+    return len(g.adj) == g.order and rows_ok and labels_ok
+
+
+def is_clique(g: Graph, vertices) -> bool:
+    vs = list(vertices)
+    return len(set(vs)) == len(vs) and all(g.has_edge(u, v) for u, v in combinations(vs, 2))
+
+
+def is_independent_set(g: Graph, vertices) -> bool:
+    vs = list(vertices)
+    return len(set(vs)) == len(vs) and not any(g.has_edge(u, v) for u, v in combinations(vs, 2))
 
 
 def brute_homomorphism_exists(g: Graph, h: Graph) -> bool:
@@ -39,6 +69,29 @@ def brute_homomorphism_exists(g: Graph, h: Graph) -> bool:
 
     if n == 0:
         return True
+    return extend(0)
+
+
+def brute_retraction_exists(g: Graph, keep) -> bool:
+    """Does g map onto its subgraph induced by `keep`, fixing every kept vertex?
+    Naive backtracking over the other vertices in index order, checking edges
+    into the already-assigned vertices."""
+    kept = sorted(set(keep))
+    assign = {v: v for v in kept}
+    free = [u for u in range(g.order) if u not in assign]
+
+    def extend(i: int) -> bool:
+        if i == len(free):
+            return True
+        u = free[i]
+        for w in kept:
+            if all(g.has_edge(w, assign[x]) for x in assign if g.has_edge(u, x)):
+                assign[u] = w
+                if extend(i + 1):
+                    return True
+                del assign[u]
+        return False
+
     return extend(0)
 
 

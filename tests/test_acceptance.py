@@ -147,7 +147,7 @@ def test_criterion_07_cores():
         assert is_core(g).status == "core"
     out = is_core(cycle_graph(6))
     assert out.status == "not-core"
-    assert out.witness.verified and not out.witness.surjective
+    assert out.witness.verified and len(out.witness.image()) < 6
     print("\nACCEPTANCE 7 cores: PASS")
 
 

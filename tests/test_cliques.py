@@ -2,14 +2,15 @@ import random
 
 import pytest
 
-from helpers import brute_clique_number, brute_independence_number, random_graph
-from kneser_lab.budget import BudgetExhausted, SearchBudget
-from kneser_lab.cliques import (
-    clique_number,
-    independence_number,
+from helpers import (
+    brute_clique_number,
+    brute_independence_number,
     is_clique,
     is_independent_set,
+    random_graph,
 )
+from kneser_lab.budget import BudgetExhausted, SearchBudget
+from kneser_lab.cliques import clique_number, independence_number
 from kneser_lab.graphs import complete_graph, cycle_graph
 
 

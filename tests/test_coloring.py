@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import brute_chromatic_number, random_graph, reference_dsatur
+from helpers import brute_chromatic_number, empty_graph, random_graph, reference_dsatur
 from kneser_lab.budget import BudgetExhausted, SearchBudget
 from kneser_lab.cliques import clique_number
 from kneser_lab.coloring import (
@@ -13,7 +13,7 @@ from kneser_lab.coloring import (
     is_chi_critical,
 )
 from kneser_lab.families import parse_family_spec, stable_kneser
-from kneser_lab.graphs import complete_graph, cycle_graph, delete_vertex, empty_graph
+from kneser_lab.graphs import complete_graph, cycle_graph, delete_vertex
 from kneser_lab.homsolver import find_homomorphism
 
 

@@ -236,7 +236,7 @@ def test_predicted_shifts_regimes():
     assert predicted_shifts(8, 2, 2).texts() == ("r1", "r7")
     # second regime with k = 2 leaves the extra union empty
     assert predicted_shifts(7, 2, 3).texts() == ("r1", "r2", "r5", "r6")
-    assert predicted_shifts(10, 3, 3).rotation_indices() == (1, 2, 5, 8, 9)
+    assert predicted_shifts(10, 3, 3).texts() == ("r1", "r2", "r5", "r8", "r9")
     assert predicted_shift_indices(10, 3, 3) == {1, 2, 5, 8, 9}
     assert predicted_shift_indices(13, 4, 3) == {1, 2, 5, 8, 11, 12}
     with pytest.raises(ValueError):

@@ -1,13 +1,12 @@
 import pytest
 
-from helpers import stable_subsets_by_gaps
+from helpers import audit_graph, pairwise_distances, stable_subsets_by_gaps
 from kneser_lab.dihedral import delta, rho, rotation
 from kneser_lab.families import (
     cayley_dihedral,
     circulant,
     circular_graph,
     cycle_power,
-    embed_circular_in_kneser,
     enumerate_stable_subsets,
     kneser,
     parse_family_spec,
@@ -15,14 +14,7 @@ from kneser_lab.families import (
     prop_iso_map,
     stable_kneser,
 )
-from kneser_lab.graphs import (
-    audit_graph,
-    complement,
-    complete_graph,
-    connected_components,
-    cycle_graph,
-    graph_power,
-)
+from kneser_lab.graphs import complement, complete_graph, connected_components, cycle_graph
 from kneser_lab.isomorphism import are_isomorphic, verify_isomorphism
 from kneser_lab.labels import KSubset
 
@@ -60,7 +52,7 @@ def test_kneser_petersen():
     p = kneser(5, 2)
     assert p.order == 10 and p.edge_count == 15
     assert all(p.degree(u) == 3 for u in range(10))
-    audit_graph(p)
+    assert audit_graph(p)
 
 
 def test_kneser_perfect_matching():
@@ -108,9 +100,15 @@ def test_circular_rejects_small_n():
 
 
 def test_cycle_power_matches_bfs_power():
-    cp = cycle_power(8, 2)
-    assert cp.adj == graph_power(cycle_graph(8), 2).adj
-    assert all(cp.degree(u) == 4 for u in range(8))
+    # the a-th power joins the vertices at distance 1..a on the cycle
+    for n, a in ((8, 2), (9, 3), (5, 2)):
+        cp = cycle_power(n, a)
+        dist = pairwise_distances(cycle_graph(n))
+        for u in range(n):
+            for v in range(n):
+                assert cp.has_edge(u, v) == (u != v and dist[u][v] <= a)
+    assert all(cycle_power(8, 2).degree(u) == 4 for u in range(8))
+    assert cycle_power(5, 2).adj == complete_graph(5).adj
     assert cycle_power(6, 1).adj == cycle_graph(6).adj
 
 
@@ -194,23 +192,6 @@ def test_prop_iso_map_is_bijection_and_checked():
         )
 
 
-def test_embed_circular_in_kneser():
-    mapping = embed_circular_in_kneser(5, 2)
-    big = kneser(5, 2)
-    assert big.labels[mapping[0]] == KSubset((1, 2), 5)
-    assert big.labels[mapping[4]] == KSubset((1, 5), 5)
-    assert len(set(embed_circular_in_kneser(7, 3))) == 7
-
-
-def test_embed_image_induces_circular():
-    mapping = embed_circular_in_kneser(7, 3)
-    big = kneser(7, 3)
-    src = circular_graph(7, 3)
-    for u in range(7):
-        for v in range(u + 1, 7):
-            assert src.has_edge(u, v) == big.has_edge(mapping[u], mapping[v])
-
-
 def test_family_spec_round_trip():
     texts = [
         "kneser:n=5,k=2",
@@ -225,7 +206,7 @@ def test_family_spec_round_trip():
         assert spec.text == text
         g = spec.build()
         assert g.order > 0
-        audit_graph(g)
+        assert audit_graph(g)
 
 
 def test_family_spec_build_values():

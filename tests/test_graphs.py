@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from helpers import pairwise_distances, random_graph
+from helpers import audit_graph, empty_graph, path_graph, random_graph
 from kneser_lab.graphs import (
     GraphError,
-    audit_graph,
     bfs_distances,
     cartesian_product,
     complement,
@@ -14,12 +13,9 @@ from kneser_lab.graphs import (
     cycle_graph,
     delete_vertex,
     disjoint_union,
-    empty_graph,
-    graph_power,
     induced_subgraph,
     iter_bits,
     make_graph,
-    path_graph,
 )
 from kneser_lab.isomorphism import are_isomorphic
 
@@ -77,37 +73,6 @@ def test_complement_involution_random():
 def test_complement_c5_self_complementary():
     c5 = cycle_graph(5)
     assert are_isomorphic(c5, complement(c5)) is not None
-
-
-def test_graph_power_identity():
-    rng = random.Random(3)
-    g = random_graph(rng, 9, 0.3)
-    assert graph_power(g, 1) == g
-
-
-def test_graph_power_c8_matches_distance_oracle():
-    c8 = cycle_graph(8)
-    squared = graph_power(c8, 2)
-    dist = pairwise_distances(c8)
-    for u in range(8):
-        for v in range(8):
-            assert squared.has_edge(u, v) == (u != v and dist[u][v] <= 2)
-    assert all(squared.degree(u) == 4 for u in range(8))
-
-
-def test_graph_power_c5_saturates():
-    assert graph_power(cycle_graph(5), 2) == complete_graph(5)
-
-
-def test_graph_power_keeps_components_apart():
-    two = disjoint_union(path_graph(3), path_graph(3))
-    powered = graph_power(two, 5)
-    assert not powered.has_edge(0, 3)
-
-
-def test_graph_power_rejects_zero():
-    with pytest.raises(GraphError):
-        graph_power(cycle_graph(4), 0)
 
 
 def test_cartesian_k2_k2_is_c4():
@@ -201,7 +166,6 @@ def test_structural_audit_over_constructions():
         path_graph(5),
         empty_graph(4),
         complement(cycle_graph(6)),
-        graph_power(cycle_graph(9), 3),
         cartesian_product(cycle_graph(4), complete_graph(3)),
         disjoint_union(cycle_graph(3), complete_graph(4)),
         induced_subgraph(complete_graph(7), {1, 3, 5}),

@@ -8,8 +8,7 @@ from kneser_lab import cli, harness
 from kneser_lab.budget import BUDGET_ENV_VAR, SearchBudget
 from kneser_lab.claims import CLAIMS
 from kneser_lab.cliques import clique_number, independence_number
-from kneser_lab.dihedral import enumerate_shifts
-from kneser_lab.dimacs import read_dimacs, write_dimacs
+from kneser_lab.dimacs import dimacs_dumps, read_dimacs
 from kneser_lab.families import parse_family_spec, stable_kneser
 from kneser_lab.graphs import induced_subgraph, make_graph
 from kneser_lab.isomorphism import verify_isomorphism
@@ -206,13 +205,28 @@ def test_cli_chi_core_hom_iso(capsys):
     assert "not isomorphic" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, answer",
+    [
+        (["hom", "cyclepow:n=1001,a=1", "cyclepow:n=3,a=1"], "found"),
+        (["iso", "cyclepow:n=1001,a=1", "cyclepow:n=1001,a=1"], "isomorphic"),
+        (["chi", "cyclepow:n=1001,a=500"], "chi = 1001"),
+    ],
+    ids=["hom", "iso", "chi"],
+)
+def test_cli_searches_deeper_than_the_recursion_limit(capsys, argv, answer):
+    # each search fixes one vertex per level, so it runs about 1,000 levels deep
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == answer
+
+
 @pytest.mark.parametrize("spec", ["stable:n=12,k=2,s=2", "stable:n=14,k=2,s=3"])
 def test_cli_iso_finds_map_when_refinement_leaves_one_class(tmp_path, capsys, spec):
     # refinement leaves one colour class, so the search alone must find the map
     g = parse_family_spec(spec).build()
     perm = random.Random(12).sample(range(g.order), g.order)
     path = tmp_path / "relabelled.dimacs"
-    write_dimacs(make_graph(g.order, [(perm[u], perm[v]) for u, v in g.edges()]), path)
+    path.write_text(dimacs_dumps(make_graph(g.order, [(perm[u], perm[v]) for u, v in g.edges()])))
     assert cli.main(["--budget", "100000,", "iso", str(path), spec]) == 0
     verdict, printed_map = capsys.readouterr().out.splitlines()
     assert verdict == "isomorphic"
@@ -334,12 +348,29 @@ def test_cli_manifest_chi_must_match_closed_form(tmp_path, capsys, inst):
         "grid without s_values",
         "core without spec",
         "json to a directory",
+        "k_values not a list",
+        "spec not a string",
+        "lower bound s not integers",
+        "critical not a bool",
+        "section not a container",
     ],
 )
 def test_cli_bad_paths_and_manifests_exit_64(tmp_path, capsys, case):
-    (tmp_path / "grid.json").write_text(json.dumps({"shift_grid": {"k_values": [2]}}))
-    (tmp_path / "empty.json").write_text("{}")
-    (tmp_path / "cores.json").write_text(json.dumps({"core_instances": [{"core": True}]}))
+    manifests = {
+        "grid": {"shift_grid": {"k_values": [2]}},
+        "empty": {},
+        "cores": {"core_instances": [{"core": True}]},
+        "scalar_k": {"shift_grid": {"k_values": 2, "s_values": [2], "n_cap": 10}},
+        "int_spec": {"core_instances": [{"spec": 5, "core": True}]},
+        "str_s": {"chi_instances": [], "chi_lower_bound_s": ["3"]},
+        "str_critical": {
+            "chi_instances": [{"spec": "stable:n=6,k=2,s=2", "chi": 4, "critical": "yes"}],
+            "chi_lower_bound_s": [],
+        },
+        "scalar_section": {"core_instances": 5},
+    }
+    for name, manifest in manifests.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(manifest))
     argv = {
         "missing manifest": ["verify", "all", "--manifest", str(tmp_path / "missing.json")],
         "chi on a directory": ["chi", str(tmp_path)],
@@ -349,6 +380,11 @@ def test_cli_bad_paths_and_manifests_exit_64(tmp_path, capsys, case):
         "grid without s_values": ["verify", "shifts", "--manifest", str(tmp_path / "grid.json")],
         "core without spec": ["verify", "cores", "--manifest", str(tmp_path / "cores.json")],
         "json to a directory": ["verify", "counts", "--json", str(tmp_path)],
+        "k_values not a list": ["verify", "shifts", "--manifest", str(tmp_path / "scalar_k.json")],
+        "spec not a string": ["verify", "cores", "--manifest", str(tmp_path / "int_spec.json")],
+        "lower bound s not integers": ["verify", "chi", "--manifest", str(tmp_path / "str_s.json")],
+        "critical not a bool": ["verify", "chi", "--manifest", str(tmp_path / "str_critical.json")],
+        "section not a container": ["verify", "cores", "--manifest", str(tmp_path / "scalar_section.json")],
     }[case]
     assert cli.main(argv) == 64
     captured = capsys.readouterr()
@@ -370,14 +406,3 @@ def test_budget_env_var(monkeypatch):
     assert SearchBudget.from_env().time_limit == SearchBudget().time_limit
     monkeypatch.delenv(BUDGET_ENV_VAR)
     assert SearchBudget.from_env() == SearchBudget()
-
-
-def test_shift_set_serialization():
-    shifts = enumerate_shifts(stable_kneser(7, 2, 3))
-    assert shifts.to_json() == {
-        "n": 7,
-        "k": 2,
-        "s": 3,
-        "elements": ["r1", "r2", "r5", "r6"],
-        "provenance": "brute-force",
-    }

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import brute_homomorphism_exists, random_graph
+from helpers import brute_homomorphism_exists, brute_retraction_exists, random_graph
 from kneser_lab.budget import SearchBudget
 from kneser_lab.coloring import chromatic_number
 from kneser_lab.dihedral import act_on_vertex, all_elements, rotation
@@ -18,6 +18,7 @@ from kneser_lab.graphs import (
     cartesian_product,
     complete_graph,
     cycle_graph,
+    delete_vertex,
     induced_subgraph,
     make_graph,
 )
@@ -27,7 +28,6 @@ from kneser_lab.homsolver import (
     certificate_loads,
     check_certificate,
     find_homomorphism,
-    find_retraction,
     is_core,
     normal_cayley_self_hom,
     symmetry_root_candidates,
@@ -109,41 +109,42 @@ def test_core_test_spends_one_budget():
 
 
 def test_retraction_of_c6_onto_edge():
-    out = find_retraction(cycle_graph(6), {0, 1})
-    assert out.found
-    mapping = out.homomorphism.mapping
-    assert mapping[0] == 0 and mapping[1] == 1
+    # a retraction is a non-surjective endomorphism, so C6 is no core
+    c6 = cycle_graph(6)
+    assert brute_retraction_exists(c6, {0, 1})
+    assert is_core(c6).status == "not-core"
 
 
 def test_c5_has_no_proper_retraction():
     c5 = cycle_graph(5)
+    assert is_core(c5).status == "core"
     for size in (1, 2, 3, 4):
-        keep = tuple(range(size))
-        assert find_retraction(c5, keep).status == "none"
+        assert not brute_retraction_exists(c5, range(size))
 
 
 def test_no_retraction_off_the_clique_block():
     # dropping any single distance-(s+1) pair from the s = 3 pair family
     # admits no retraction onto the rest
     g = stable_kneser(8, 2, 3)
+    assert is_core(g).status == "core"
     for v, label in enumerate(g.labels):
         if sorted(label.gaps()) != [4, 4]:
             continue
         keep = [u for u in range(g.order) if u != v]
-        assert find_retraction(g, keep).status == "none"
+        assert not brute_retraction_exists(g, keep)
 
 
-def test_retraction_fixed_points_hold():
+def test_is_core_agrees_with_brute_endomorphisms():
+    # g is a core exactly when no map g -> g - v exists for any vertex v
     rng = random.Random(61)
-    for _ in range(20):
-        g = random_graph(rng, rng.randint(2, 9), 0.5)
-        keep = sorted(rng.sample(range(g.order), rng.randint(1, g.order)))
-        out = find_retraction(g, keep)
-        if out.found:
-            sub = induced_subgraph(g, keep)
-            assert verify_homomorphism(g, sub, out.homomorphism.mapping)
-            for i, v in enumerate(keep):
-                assert out.homomorphism.mapping[v] == i
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(0, 7), rng.choice([0.3, 0.5, 0.7]))
+        out = is_core(g)
+        misses = any(brute_homomorphism_exists(g, delete_vertex(g, v)) for v in range(g.order))
+        assert out.status == ("not-core" if misses else "core")
+        if out.witness is not None:
+            assert verify_homomorphism(g, g, out.witness.mapping)
+            assert len(out.witness.image()) < g.order
 
 
 def test_cores_small():
@@ -151,7 +152,7 @@ def test_cores_small():
     assert is_core(cycle_graph(5)).status == "core"
     out = is_core(cycle_graph(6))
     assert out.status == "not-core"
-    assert out.witness.verified and not out.witness.surjective
+    assert out.witness.verified and len(out.witness.image()) < 6
 
 
 def test_core_retract_duality():
@@ -162,7 +163,7 @@ def test_core_retract_duality():
         assert is_core(g).status == "core"
         for v in range(g.order):
             keep = [u for u in range(g.order) if u != v]
-            assert find_retraction(g, keep).status == "none"
+            assert not brute_retraction_exists(g, keep)
     # a non-core admits a retraction onto the stable image of its witness
     c6 = cycle_graph(6)
     witness = is_core(c6).witness.mapping
@@ -173,7 +174,7 @@ def test_core_retract_duality():
         power = [witness[y] for y in power]
     image = sorted(set(power))
     assert len(image) < 6
-    assert find_retraction(c6, image).status == "found"
+    assert brute_retraction_exists(c6, image)
 
 
 def test_hom_equivalence_implies_equal_chi():
