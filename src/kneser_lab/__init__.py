@@ -65,7 +65,6 @@ from .homsolver import (
     SolveOutcome,
     find_homomorphism,
     is_core,
-    normal_cayley_self_hom,
 )
 from .isomorphism import are_isomorphic, verify_isomorphism
 from .labels import CyclicElem, KSubset

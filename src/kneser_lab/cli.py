@@ -100,40 +100,31 @@ def _cmd_chi(args) -> int:
     return EXIT_OK
 
 
+def _print_outcome(status: str, hom, g: Graph, h: Graph, nodes: int, seconds: float) -> int:
+    """Print a search's status and, when it found a map g -> h, its certificate."""
+    print(status)
+    if hom is not None:
+        cert = homsolver.certificate(
+            "homomorphism", data=hom.mapping, source=g, target=h, verified=True,
+            nodes=nodes, seconds=seconds,
+        )
+        print(homsolver.certificate_dumps(cert))
+    return EXIT_EXHAUSTED if status == "exhausted" else EXIT_OK
+
+
 def _cmd_core(args) -> int:
     g = _load_graph(args.spec)
     outcome = homsolver.is_core(g, _budget_from(args))
-    print(outcome.status)
-    if outcome.witness is not None:
-        cert = homsolver.certificate(
-            "homomorphism",
-            data=outcome.witness.mapping,
-            source=g,
-            target=g,
-            verified=outcome.witness.verified,
-            nodes=outcome.nodes,
-        )
-        print(homsolver.certificate_dumps(cert))
-    return EXIT_EXHAUSTED if outcome.status == "exhausted" else EXIT_OK
+    return _print_outcome(outcome.status, outcome.witness, g, g, outcome.nodes, outcome.seconds)
 
 
 def _cmd_hom(args) -> int:
     g = _load_graph(args.source)
     h = _load_graph(args.target)
     outcome = homsolver.find_homomorphism(g, h, _budget_from(args))
-    print(outcome.status)
-    if outcome.found:
-        cert = homsolver.certificate(
-            "homomorphism",
-            data=outcome.homomorphism.mapping,
-            source=g,
-            target=h,
-            verified=outcome.homomorphism.verified,
-            nodes=outcome.nodes,
-            seconds=outcome.seconds,
-        )
-        print(homsolver.certificate_dumps(cert))
-    return EXIT_EXHAUSTED if outcome.status == "exhausted" else EXIT_OK
+    return _print_outcome(
+        outcome.status, outcome.homomorphism, g, h, outcome.nodes, outcome.seconds
+    )
 
 
 def _cmd_iso(args) -> int:

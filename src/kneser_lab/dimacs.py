@@ -38,6 +38,8 @@ def dimacs_loads(text: str) -> Graph:
                 labels[int(parts[2]) - 1] = parse_label(parts[3])
             continue
         if line.startswith("p"):
+            if order is not None:
+                raise GraphError(f"repeated problem line: {line!r}")
             parts = line.split()
             if len(parts) < 4 or parts[1] != "edge":
                 raise GraphError(f"malformed problem line: {line!r}")
@@ -47,8 +49,8 @@ def dimacs_loads(text: str) -> Graph:
             if order is None:
                 raise GraphError("edge line before the problem line")
             parts = line.split()
-            if len(parts) < 3:
-                raise GraphError(f"edge line needs two endpoints: {line!r}")
+            if len(parts) != 3:
+                raise GraphError(f"edge line needs exactly two endpoints: {line!r}")
             edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
     if order is None:
         raise GraphError("missing 'p edge' header")

@@ -128,24 +128,6 @@ def complement(g: Graph) -> Graph:
     return Graph(g.order, adj, g.labels)
 
 
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Distances from source; -1 for unreachable vertices."""
-    dist = [-1] * g.order
-    dist[source] = 0
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in iter_bits(g.adj[u]):
-                if dist[v] < 0:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return dist
-
-
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Vertices V(g) x V(h); edges when one coordinate is equal, the other adjacent."""
     m = h.order

@@ -17,22 +17,14 @@ from dataclasses import dataclass
 
 from .budget import BudgetClock, BudgetExhausted, SearchBudget, resolve_budget
 from .dihedral import symmetry_root_candidates
-from .graphs import (
-    Graph,
-    cartesian_product,
-    complete_graph,
-    iter_bits,
-    verify_homomorphism,
-)
-from .labels import CyclicElem
+from .graphs import Graph, complete_graph, iter_bits, verify_homomorphism
 
 
 @dataclass(frozen=True)
 class Homomorphism:
-    source_order: int
-    target_order: int
+    """A map that passed `verify_homomorphism`; entry u is the image of u."""
+
     mapping: tuple[int, ...]
-    verified: bool = False
 
     def image(self) -> set[int]:
         return set(self.mapping)
@@ -125,8 +117,7 @@ def _solve(g: Graph, h: Graph, doms: list[int], clock: BudgetClock) -> SolveOutc
         return SolveOutcome("none", None, clock.nodes, clock.elapsed())
     if not verify_homomorphism(g, h, mapping):
         raise RuntimeError("search produced a map the independent checker rejects")
-    hom = Homomorphism(g.order, h.order, mapping, verified=True)
-    return SolveOutcome("found", hom, clock.nodes, clock.elapsed())
+    return SolveOutcome("found", Homomorphism(mapping), clock.nodes, clock.elapsed())
 
 
 def find_homomorphism(
@@ -172,30 +163,6 @@ def is_core(g: Graph, budget: SearchBudget | None = None) -> CoreOutcome:
             status = "not-core" if outcome.found else "exhausted"
             return CoreOutcome(status, outcome.homomorphism, clock.nodes, clock.elapsed())
     return CoreOutcome("core", None, clock.nodes, clock.elapsed())
-
-
-def normal_cayley_self_hom(g: Graph) -> Homomorphism:
-    """The verified group-addition homomorphism from g box g onto a circulant g.
-
-    Sends the product vertex (u, v) to u + v mod n. Residue addition always
-    works on a circulant, so a verification failure is an internal defect.
-    """
-    labels = g.labels
-    n = g.order
-    if not labels or not all(
-        isinstance(l, CyclicElem) and l.modulus == n for l in labels
-    ):
-        raise ValueError("group addition needs a circulant with residue labels")
-    if any(l.value != i for i, l in enumerate(labels)):
-        raise ValueError("circulant labels out of residue order")
-    square = cartesian_product(g, g)
-    mapping = []
-    for la, lb in square.labels:
-        mapping.append((la.value + lb.value) % n)
-    mapping = tuple(mapping)
-    if not verify_homomorphism(square, g, mapping):
-        raise RuntimeError("group addition failed the homomorphism checker")
-    return Homomorphism(square.order, n, mapping, verified=True)
 
 
 # certificates

@@ -1,7 +1,8 @@
 """Graph isomorphism by joint colour refinement plus forward checking.
 
-Both graphs are colour-refined in one shared palette, and each vertex of g
-starts with the vertices of h in its colour class as candidates. The search
+Both graphs are colour-refined in one shared palette, starting from the
+sizes of the connected components, and each vertex of g starts with the
+vertices of h in its colour class as candidates. The search
 branches on the unplaced vertex with the fewest candidates; placing u at w
 narrows every unplaced vertex to the neighbours of w if it is adjacent to u,
 and to the other non-neighbours of w if not. An empty candidate set prunes
@@ -11,7 +12,7 @@ the branch. Any map found is re-verified by an independent checker.
 from __future__ import annotations
 
 from .budget import SearchBudget, resolve_budget
-from .graphs import Graph, bfs_distances, iter_bits, verify_homomorphism
+from .graphs import Graph, connected_components, iter_bits, verify_homomorphism
 
 
 def verify_isomorphism(g: Graph, h: Graph, mapping) -> bool:
@@ -28,18 +29,19 @@ def verify_isomorphism(g: Graph, h: Graph, mapping) -> bool:
     )
 
 
-def _initial_invariants(g: Graph) -> list[tuple]:
-    out = []
-    for u in range(g.order):
-        dist = bfs_distances(g, u)
-        reachable = sorted(d for d in dist if d > 0)
-        out.append((g.degree(u), tuple(reachable), dist.count(-1)))
-    return out
+def _component_sizes(g: Graph) -> list[int]:
+    """The size of each vertex's connected component."""
+    size = [0] * g.order
+    for comp in connected_components(g):
+        for u in comp:
+            size[u] = len(comp)
+    return size
 
 
 def _joint_refinement(g: Graph, h: Graph) -> tuple[list[int], list[int]]:
-    """Color-refine both graphs in a shared palette until stable."""
-    values = _initial_invariants(g) + _initial_invariants(h)
+    """Color-refine both graphs in a shared palette until stable, starting
+    from component sizes; refinement sorts out degrees on its own."""
+    values = _component_sizes(g) + _component_sizes(h)
     palette = {v: i for i, v in enumerate(sorted(set(values)))}
     colors = [palette[v] for v in values]
     n = g.order

@@ -5,7 +5,6 @@ import pytest
 from helpers import audit_graph, empty_graph, path_graph, random_graph
 from kneser_lab.graphs import (
     GraphError,
-    bfs_distances,
     cartesian_product,
     complement,
     complete_graph,
@@ -174,7 +173,3 @@ def test_structural_audit_over_constructions():
     for g in graphs:
         assert audit_graph(g)
 
-
-def test_bfs_distances_unreachable():
-    two = disjoint_union(path_graph(2), path_graph(2))
-    assert bfs_distances(two, 0) == [0, 1, -1, -1]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from kneser_lab import cli, harness
+from kneser_lab import cli, families, harness
 from kneser_lab.budget import BUDGET_ENV_VAR, SearchBudget
 from kneser_lab.claims import CLAIMS
 from kneser_lab.cliques import clique_number, independence_number
@@ -12,6 +12,7 @@ from kneser_lab.dimacs import dimacs_dumps, read_dimacs
 from kneser_lab.families import parse_family_spec, stable_kneser
 from kneser_lab.graphs import induced_subgraph, make_graph
 from kneser_lab.isomorphism import verify_isomorphism
+from kneser_lab.labels import KSubset
 
 
 def _by_claim(reports, claim_id):
@@ -74,6 +75,27 @@ def test_homidem_optional_square_searches_complete():
     # the direct searches actually finish on the default instances,
     # refuting hom-idempotence without the constituent chain
     assert all(r.status == "pass" and r.computed == "none" for r in squares)
+
+
+def test_faulty_circulant_map_fails_its_rows(monkeypatch):
+    # the iso-map and homidem-positive rows are the only checks of the explicit
+    # map, so an image that is not a vertex grades as a failure, not an error
+    original = families.prop_iso_images
+
+    def images(k, s):
+        return (KSubset((1, 2), k * s + 1),) + original(k, s)[1:]
+
+    monkeypatch.setattr(families, "prop_iso_images", images)
+    assert families.prop_iso_map(2, 3)[0] == -1
+    iso = harness.run_prop_iso(manifest={"iso_grid": {"k_values": [2], "s_values": [3]}})
+    assert [r.status for r in _by_claim(iso, "iso-map")] == ["fail"]
+    manifest = {
+        "hom_positive": [{"k": 2, "s": 3}],
+        "hom_negative_two_stable": [],
+        "hom_negative_pair_family": [],
+    }
+    homidem = harness.run_hom_idempotence_suite(manifest=manifest)
+    assert [(r.claim_id, r.status) for r in homidem] == [("homidem-positive", "fail")]
 
 
 def test_claim_ids_have_manifest_entries():

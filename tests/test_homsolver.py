@@ -29,7 +29,6 @@ from kneser_lab.homsolver import (
     check_certificate,
     find_homomorphism,
     is_core,
-    normal_cayley_self_hom,
     symmetry_root_candidates,
     verify_homomorphism,
 )
@@ -70,7 +69,6 @@ def test_found_certificates_reverify():
         out = find_homomorphism(g, h)
         assert (out.status == "found") == brute_homomorphism_exists(g, h)
         if out.found:
-            assert out.homomorphism.verified
             assert verify_homomorphism(g, h, out.homomorphism.mapping)
 
 
@@ -152,7 +150,7 @@ def test_cores_small():
     assert is_core(cycle_graph(5)).status == "core"
     out = is_core(cycle_graph(6))
     assert out.status == "not-core"
-    assert out.witness.verified and len(out.witness.image()) < 6
+    assert len(out.witness.image()) < 6
 
 
 def test_core_retract_duality():
@@ -248,23 +246,6 @@ def test_symmetry_does_not_change_answers():
     circ = circulant(5, {2, 3})
     assert find_homomorphism(cycle_graph(5), circ).found
     assert find_homomorphism(cycle_graph(5), circ, use_target_symmetry=False).found
-
-
-def test_normal_cayley_self_hom():
-    c5 = circulant(5, {1, 4})
-    hom = normal_cayley_self_hom(c5)
-    assert hom.verified and hom.source_order == 25
-    square = cartesian_product(c5, c5)
-    assert verify_homomorphism(square, c5, hom.mapping)
-    # each slice at fixed second coordinate is a translation automorphism
-    for v0 in range(5):
-        slice_map = [hom.mapping[a * 5 + v0] for a in range(5)]
-        assert verify_isomorphism(c5, c5, slice_map)
-
-
-def test_normal_cayley_requires_residue_labels():
-    with pytest.raises(ValueError):
-        normal_cayley_self_hom(cycle_graph(5))
 
 
 def test_certificate_round_trip():

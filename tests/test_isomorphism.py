@@ -45,10 +45,11 @@ def test_same_degree_sequence_not_enough():
 
 
 def test_non_isomorphic_same_counts():
-    # two 6-vertex 2-regular graphs: one hexagon vs two triangles
+    # two 6-vertex 2-regular graphs: one hexagon vs two triangles; refinement
+    # alone must tell them apart, without a search node
     hexagon = cycle_graph(6)
     triangles = make_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-    assert are_isomorphic(hexagon, triangles) is None
+    assert are_isomorphic(hexagon, triangles, SearchBudget(0, None)) is None
 
 
 def test_search_agrees_with_permutation_oracle():

@@ -87,7 +87,15 @@ def test_dimacs_rejects_garbage():
         dimacs_loads("c nothing here\n")
 
 
-@pytest.mark.parametrize("text", ["p edge 3 5\ne 1 2\ne 2 3\n", "p edge 3 1\ne 1\n"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p edge 3 5\ne 1 2\ne 2 3\n",
+        "p edge 3 1\ne 1\n",
+        "p edge 3 0\np edge 5 0\n",
+        "p edge 3 1\ne 1 2 3\n",
+    ],
+)
 def test_dimacs_rejects_malformed_edges(tmp_path, capsys, text):
     with pytest.raises(GraphError):
         dimacs_loads(text)
