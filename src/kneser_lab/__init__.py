@@ -19,12 +19,10 @@ from .coloring import (
 )
 from .dihedral import (
     DihedralElement,
-    ShiftSet,
     act_on_vertex,
     all_elements,
     compose,
     enumerate_shifts,
-    induced_automorphism,
     inverse,
     is_shift,
     non_shift_witness,

@@ -76,15 +76,14 @@ def _cmd_shifts(args) -> int:
     if spec.kind != "stable":
         print("shifts are defined for stable Kneser specs only", file=sys.stderr)
         return EXIT_USAGE
-    g = spec.build()
-    brute = dihedral.enumerate_shifts(g)
-    print(f"brute-force: {{{', '.join(brute.texts())}}}")
-    if args.predict:
-        predicted = dihedral.predicted_shifts(spec.n, spec.k, spec.s)
-        print(f"formula:     {{{', '.join(predicted.texts())}}}")
-        agree = brute.members == predicted.members
-        print(f"agree: {agree}")
-        if not agree:
+    # the prediction is made first, so a usage error prints nothing on stdout
+    predicted = dihedral.predicted_shifts(spec.n, spec.k, spec.s) if args.predict else None
+    brute = dihedral.enumerate_shifts(spec.build())
+    print(f"brute-force: {{{', '.join(map(str, brute))}}}")
+    if predicted is not None:
+        print(f"formula:     {{{', '.join(map(str, predicted))}}}")
+        print(f"agree: {brute == predicted}")
+        if brute != predicted:
             return EXIT_FAIL
     return EXIT_OK
 

@@ -93,7 +93,8 @@ def cycle_power(n: int, a: int) -> Graph:
 
 
 def cayley_dihedral(n: int, gens) -> Graph:
-    """Cayley graph of the dihedral group on [n]: u ~ v iff u^-1 v generates."""
+    """Cayley graph of the dihedral group on [n]: u ~ u g for each generator g,
+    so u ~ v iff u^-1 v generates; closing gens under inverses makes it symmetric."""
     gset = frozenset(gens)
     if not gset:
         raise ValueError("generator set is empty")
@@ -104,15 +105,9 @@ def cayley_dihedral(n: int, gens) -> Graph:
     if any(dihedral.inverse(g) not in gset for g in gset):
         raise ValueError("generator set must be closed under inverses")
     verts = dihedral.all_elements(n)
-    order = len(verts)
-    inv = [dihedral.inverse(u) for u in verts]
-    adj = [0] * order
-    for i in range(order):
-        for j in range(i + 1, order):
-            if dihedral.compose(inv[i], verts[j]) in gset:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(order, tuple(adj), tuple(verts))
+    index = {u: i for i, u in enumerate(verts)}
+    adj = tuple(sum(1 << index[dihedral.compose(u, g)] for g in gset) for u in verts)
+    return Graph(len(verts), adj, tuple(verts))
 
 
 def prop_iso_images(k: int, s: int) -> tuple[KSubset, ...]:

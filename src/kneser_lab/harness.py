@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -52,17 +52,7 @@ class VerificationReport:
     conjecture: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "params": self.params,
-            "expected": self.expected,
-            "computed": self.computed,
-            "provenance": self.provenance,
-            "status": self.status,
-            "evidence": self.evidence,
-            "seconds": round(self.seconds, 3),
-            "conjecture": self.conjecture,
-        }
+        return {**asdict(self), "seconds": round(self.seconds, 3)}
 
 
 def _row(claim_id, params, expected, check) -> VerificationReport:
@@ -138,8 +128,15 @@ def _sort_reports(reports):
 # shifts
 
 
-def run_shift_grid(manifest=None) -> list[VerificationReport]:
-    """Brute-force shifts vs the closed-form prediction, plus reflexion audits."""
+def _refutes(e, v: KSubset, s: int) -> bool:
+    """Is v an s-stable vertex meeting its image under e, so e is no shift?"""
+    return v.is_stable(s) and not set(v.elements).isdisjoint(dihedral.act_on_vertex(e, v).elements)
+
+
+def run_shift_grid(budget=None, manifest=None, include_square_search=False) -> list[VerificationReport]:
+    """Brute-force shifts vs the closed-form prediction, plus reflexion audits:
+    every reflexion must be refuted by its witness vertex. No search runs, so
+    the budget and square-search options are unused."""
     cfg = _manifest(manifest, "shift_grid")["shift_grid"]
     reports = []
     for k in sorted(_field(cfg, "k_values", list)):
@@ -151,16 +148,19 @@ def run_shift_grid(manifest=None) -> list[VerificationReport]:
                 reflexions = dihedral.all_elements(n)[n:]
 
                 def audit():
-                    bad = [str(e) for e in reflexions if e in found.members]
-                    witnesses = [
-                        f"{e}: {dihedral.non_shift_witness(e, n, k, s)}"
+                    witnesses = {
+                        e: dihedral.non_shift_witness(e, n, k, s)
                         for e in reflexions
-                        if e not in found.members
+                        if e not in found
+                    }
+                    bad = [
+                        str(e) for e in reflexions if e in found or not _refutes(e, witnesses[e], s)
                     ]
-                    return bad, {"example": witnesses[0] if witnesses else "", "reflexions": n}
+                    examples = [f"{e}: {v}" for e, v in witnesses.items()]
+                    return bad, {"example": examples[0] if examples else "", "reflexions": n}
 
-                predicted = list(dihedral.predicted_shifts(n, k, s).texts())
-                shifts = (list(found.texts()), {"order": g.order})
+                predicted = [str(e) for e in dihedral.predicted_shifts(n, k, s)]
+                shifts = ([str(e) for e in found], {"order": g.order})
                 reports.append(_row("shift-grid", params, predicted, lambda: shifts))
                 reports.append(_row("shift-reflexion-witness", params, [], audit))
     return _sort_reports(reports)
@@ -169,7 +169,7 @@ def run_shift_grid(manifest=None) -> list[VerificationReport]:
 # counting and the explicit isomorphism
 
 
-def run_count_grid(manifest=None) -> list[VerificationReport]:
+def run_count_grid(budget=None, manifest=None, include_square_search=False) -> list[VerificationReport]:
     cfg = _manifest(manifest, "counting_grid")["counting_grid"]
     reports = []
     for k in sorted(_field(cfg, "k_values", list)):
@@ -187,7 +187,7 @@ def run_count_grid(manifest=None) -> list[VerificationReport]:
     return _sort_reports(reports)
 
 
-def run_prop_iso(budget=None, manifest=None) -> list[VerificationReport]:
+def run_prop_iso(budget=None, manifest=None, include_square_search=False) -> list[VerificationReport]:
     cfg = _manifest(manifest, "iso_grid")["iso_grid"]
     reports = []
     for k in sorted(_field(cfg, "k_values", list)):
@@ -225,7 +225,7 @@ def stable_pair_sets(s: int) -> tuple[list[KSubset], list[KSubset]]:
     return block_s, block_t
 
 
-def run_chi_suite(budget=None, manifest=None) -> list[VerificationReport]:
+def run_chi_suite(budget=None, manifest=None, include_square_search=False) -> list[VerificationReport]:
     man = _manifest(manifest, "chi_instances", "chi_lower_bound_s")
     lower_bound_s = _field(man, "chi_lower_bound_s", list)
     reports = []
@@ -336,7 +336,7 @@ def _square_row(claim_id, params, g, budget, nodes: int, seconds: float) -> Veri
     return _none_row(claim_id, params, square, g, capped, square_order=square.order)
 
 
-def run_core_suite(budget=None, manifest=None) -> list[VerificationReport]:
+def run_core_suite(budget=None, manifest=None, include_square_search=False) -> list[VerificationReport]:
     man = _manifest(manifest, "core_instances")
     reports = []
     for inst in man["core_instances"]:
@@ -370,13 +370,13 @@ def _negative_reports(g, s, params, budget, include_square_search):
     shape, chromatic gap, and the exhaustive non-existence search."""
     n = g.labels[0].ambient
     shifts = dihedral.enumerate_shifts(g)
-    cay = cayley_dihedral(n, shifts.members)
+    cay = cayley_dihedral(n, shifts)
 
     def shape():
         piece = cycle_power(n, s - 1)
         found = are_isomorphic(cay, disjoint_union(piece, piece), budget)
         return found is not None, {
-            "shifts": list(shifts.texts()),
+            "shifts": [str(e) for e in shifts],
             "components": [len(c) for c in connected_components(cay)],
         }
 
@@ -465,7 +465,8 @@ def probe_conjectures(
     return _sort_reports(reports)
 
 
-# suite registry
+# suite registry; every runner takes (budget=None, manifest=None,
+# include_square_search=False), and those a suite has no use for are ignored
 
 
 SUITES = {
@@ -483,28 +484,12 @@ def run_suite(
 ) -> list[VerificationReport]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    runner = SUITES[name]
-    if name in ("shifts", "counts"):
-        return runner(manifest=manifest)
-    if name == "homidem":
-        return runner(
-            budget=budget, manifest=manifest, include_square_search=include_square_search
-        )
-    return runner(budget=budget, manifest=manifest)
+    return SUITES[name](budget, manifest, include_square_search)
 
 
 def run_all(budget=None, manifest=None, include_square_search: bool = False) -> list[VerificationReport]:
-    reports = []
-    for name in sorted(SUITES):
-        reports.extend(
-            run_suite(
-                name,
-                budget=budget,
-                manifest=manifest,
-                include_square_search=include_square_search,
-            )
-        )
-    return _sort_reports(reports)
+    options = (budget, manifest, include_square_search)
+    return _sort_reports([r for name in sorted(SUITES) for r in run_suite(name, *options)])
 
 
 def exit_code_for(reports) -> int:

@@ -107,8 +107,8 @@ def parse_label(text: str):
         val, _, mod = text[1:].partition("@")
         return CyclicElem(int(val), int(mod))
     if text[:1] in ("r", "p", "d") and "@" in text:
-        from .dihedral import DihedralElement
+        from .dihedral import parse_element
 
         head, _, amb = text.partition("@")
-        return DihedralElement(head[0], int(head[1:]), int(amb))
+        return parse_element(head, int(amb))
     return int(text)

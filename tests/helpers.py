@@ -232,6 +232,36 @@ def stable_subsets_by_gaps(n: int, k: int, s: int) -> set[tuple[int, ...]]:
     return out
 
 
+def named_perm(name: str, n: int) -> tuple[int, ...]:
+    """Images of 1..n under the dihedral element named r<i>, p<i> or d<i>, read
+    off the naming rules x + i, 2i - x and 2i - 1 - x, modulo n into 1..n."""
+    kind, i = name[0], int(name[1:])
+    shift = {"r": lambda x: x + i, "p": lambda x: 2 * i - x, "d": lambda x: 2 * i - 1 - x}[kind]
+    return tuple((shift(x) - 1) % n + 1 for x in range(1, n + 1))
+
+
+def perm_inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse of a permutation of 1..n given as its image tuple."""
+    inv = [0] * len(perm)
+    for x, y in enumerate(perm, 1):
+        inv[y - 1] = x
+    return tuple(inv)
+
+
+def brute_cayley_edges(n: int, elements, gens) -> set[tuple[int, int]]:
+    """Edges (i, j), i < j, of the Cayley graph on `elements` in that vertex
+    order: u ~ v exactly when u^-1 v is a generator, on image tuples of [n]
+    built from the element names, never from the package's group law."""
+    perms = [named_perm(str(e), n) for e in elements]
+    targets = {named_perm(str(g), n) for g in gens}
+    return {
+        (i, j)
+        for i, u in enumerate(map(perm_inverse, perms))
+        for j, v in enumerate(perms)
+        if i < j and tuple(u[y - 1] for y in v) in targets
+    }
+
+
 def random_graph(rng, order: int, p: float) -> Graph:
     edges = [
         (u, v)

@@ -4,16 +4,15 @@ from itertools import product
 
 import pytest
 
+from helpers import named_perm
 from kneser_lab import dihedral
 from kneser_lab.dihedral import (
-    DihedralElement,
     act_on_vertex,
     all_elements,
     compose,
     delta,
     enumerate_shifts,
     identity,
-    induced_automorphism,
     inverse,
     is_shift,
     non_shift_witness,
@@ -26,8 +25,12 @@ from kneser_lab.dihedral import (
 from kneser_lab.families import stable_kneser
 from kneser_lab.graphs import GraphError, induced_subgraph, label_automorphism
 from kneser_lab.harness import load_manifest
-from kneser_lab.labels import KSubset
+from kneser_lab.labels import KSubset, format_label, parse_label
 from kneser_lab.modn import mod1
+
+
+def _texts(elements):
+    return tuple(str(e) for e in elements)
 
 
 def test_rotation_wraps():
@@ -62,13 +65,13 @@ def test_element_counts_and_distinctness():
 
 def test_index_ranges_enforced():
     with pytest.raises(ValueError):
-        DihedralElement("r", 6, 6)
+        parse_element("r6", 6)
     with pytest.raises(ValueError):
         rho(4, 6)  # even n caps rho at n/2
     with pytest.raises(ValueError):
         delta(1, 7)  # delta needs even n
     with pytest.raises(ValueError):
-        DihedralElement("x", 1, 6)
+        parse_element("x1", 6)
 
 
 def test_compose_matches_pointwise_everywhere():
@@ -143,16 +146,17 @@ def test_action_preserves_stability_exhaustively():
 
 def test_induced_automorphism_identity():
     g = stable_kneser(7, 2, 3)
-    assert induced_automorphism(identity(7), g) == tuple(range(7))
+    assert dihedral._automorphism_table(g, 7)[identity(7)] == tuple(range(7))
 
 
 def test_rotations_form_cyclic_subgroup():
     g = stable_kneser(7, 2, 3)
-    base = induced_automorphism(rotation(1, 7), g)
+    table = dihedral._automorphism_table(g, 7)
+    base = table[rotation(1, 7)]
     perm = tuple(range(7))
     perms = set()
     for i in range(7):
-        assert induced_automorphism(rotation(i, 7), g) == perm
+        assert table[rotation(i, 7)] == perm
         perms.add(perm)
         perm = tuple(base[x] for x in perm)
     assert len(perms) == 7
@@ -162,8 +166,9 @@ def test_every_element_induces_automorphism_small_n():
     # edge and non-edge preservation, exhaustively checked
     for n, k, s in ((6, 2, 2), (8, 2, 3), (10, 3, 3), (12, 2, 4)):
         g = stable_kneser(n, k, s)
+        table = dihedral._automorphism_table(g, n)
         for e in all_elements(n):
-            perm = induced_automorphism(e, g)
+            perm = table[e]
             assert sorted(perm) == list(range(g.order))
             for u in range(g.order):
                 for v in range(u + 1, g.order):
@@ -193,7 +198,7 @@ def test_enumerate_shifts_verifies_only_the_generators(monkeypatch):
 
     monkeypatch.setattr(dihedral, "label_automorphism", counted)
     found = enumerate_shifts(stable_kneser(13, 3, 4))
-    assert found.members == predicted_shifts(13, 3, 4).members
+    assert found == predicted_shifts(13, 3, 4)
     assert len(calls) == 2
 
 
@@ -201,8 +206,9 @@ def test_not_vertex_transitive_witness():
     g = stable_kneser(6, 2, 2)
     src = g.label_index()[KSubset((1, 3), 6)]
     dst = g.label_index()[KSubset((1, 4), 6)]
+    table = dihedral._automorphism_table(g, 6)
     for e in all_elements(6):
-        assert induced_automorphism(e, g)[src] != dst
+        assert table[e][src] != dst
 
 
 def test_is_shift_examples():
@@ -221,22 +227,22 @@ def test_induced_automorphism_requires_subset_labels():
     from kneser_lab.graphs import cycle_graph
 
     with pytest.raises(GraphError):
-        induced_automorphism(rotation(1, 6), cycle_graph(6))
+        dihedral._automorphism_table(cycle_graph(6), 6)
     with pytest.raises(GraphError):
-        induced_automorphism(rotation(1, 8), induced_subgraph(stable_kneser(8, 2, 3), range(5)))
+        dihedral._automorphism_table(induced_subgraph(stable_kneser(8, 2, 3), range(5)), 8)
 
 
 def test_enumerate_shifts_frozen_values():
-    assert enumerate_shifts(stable_kneser(8, 2, 2)).texts() == ("r1", "r7")
-    assert enumerate_shifts(stable_kneser(7, 2, 3)).texts() == ("r1", "r2", "r5", "r6")
-    assert enumerate_shifts(stable_kneser(10, 3, 3)).texts() == ("r1", "r2", "r5", "r8", "r9")
+    assert _texts(enumerate_shifts(stable_kneser(8, 2, 2))) == ("r1", "r7")
+    assert _texts(enumerate_shifts(stable_kneser(7, 2, 3))) == ("r1", "r2", "r5", "r6")
+    assert _texts(enumerate_shifts(stable_kneser(10, 3, 3))) == ("r1", "r2", "r5", "r8", "r9")
 
 
 def test_predicted_shifts_regimes():
-    assert predicted_shifts(8, 2, 2).texts() == ("r1", "r7")
+    assert _texts(predicted_shifts(8, 2, 2)) == ("r1", "r7")
     # second regime with k = 2 leaves the extra union empty
-    assert predicted_shifts(7, 2, 3).texts() == ("r1", "r2", "r5", "r6")
-    assert predicted_shifts(10, 3, 3).texts() == ("r1", "r2", "r5", "r8", "r9")
+    assert _texts(predicted_shifts(7, 2, 3)) == ("r1", "r2", "r5", "r6")
+    assert _texts(predicted_shifts(10, 3, 3)) == ("r1", "r2", "r5", "r8", "r9")
     assert predicted_shift_indices(10, 3, 3) == {1, 2, 5, 8, 9}
     assert predicted_shift_indices(13, 4, 3) == {1, 2, 5, 8, 11, 12}
     with pytest.raises(ValueError):
@@ -248,9 +254,9 @@ def test_predicted_shifts_regimes():
 def test_shift_sets_closed_under_inverse_no_reflexions():
     for n, k, s in ((8, 2, 2), (7, 2, 3), (10, 3, 3), (13, 3, 4)):
         got = enumerate_shifts(stable_kneser(n, k, s))
-        assert identity(n) not in got.members
-        assert all(e.is_rotation for e in got.members)
-        assert all(inverse(e) in got.members for e in got.members)
+        assert identity(n) not in got
+        assert all(e.is_rotation for e in got)
+        assert all(inverse(e) in got for e in got)
 
 
 def test_non_shift_witness_examples():
@@ -276,6 +282,18 @@ def test_non_shift_witness_grid():
                     w = non_shift_witness(e, n, k, s)
                     assert w.is_stable(s)
                     assert set(w.elements) & set(act_on_vertex(e, w).elements)
+
+
+def test_element_names_round_trip():
+    # names are worked out from the action x -> sign*x + offset, so each name
+    # must parse back to its element and describe the element's images
+    for n in range(3, 13):
+        els = all_elements(n)
+        for e in els:
+            assert parse_element(str(e), n) == e
+            assert parse_label(format_label(e)) == e
+            assert e.perm() == named_perm(str(e), n)
+        assert len({str(e) for e in els}) == 2 * n
 
 
 def test_parse_element():

@@ -1,7 +1,16 @@
+import random
+
 import pytest
 
-from helpers import audit_graph, pairwise_distances, stable_subsets_by_gaps
-from kneser_lab.dihedral import delta, rho, rotation
+from helpers import (
+    audit_graph,
+    brute_cayley_edges,
+    named_perm,
+    pairwise_distances,
+    perm_inverse,
+    stable_subsets_by_gaps,
+)
+from kneser_lab.dihedral import all_elements, delta, rho, rotation
 from kneser_lab.families import (
     cayley_dihedral,
     circulant,
@@ -164,6 +173,36 @@ def test_cayley_degree_is_generator_count():
     gens = {rho(1, 8), rho(2, 8), delta(1, 8)}
     g = cayley_dihedral(8, gens)
     assert all(g.degree(u) == 3 for u in range(16))
+
+
+def _inverse_classes(n):
+    """The non-identity elements of order 2n grouped with their inverses, as
+    found from image tuples."""
+    by_perm = {named_perm(str(e), n): e for e in all_elements(n)[1:]}
+    classes = {frozenset((e, by_perm[perm_inverse(p)])) for p, e in by_perm.items()}
+    return sorted(classes, key=lambda c: min(e.sort_key() for e in c))
+
+
+def _generator_sets(n, masks):
+    classes = _inverse_classes(n)
+    for mask in masks:
+        yield frozenset(e for i, c in enumerate(classes) if mask >> i & 1 for e in c)
+
+
+def test_cayley_dihedral_matches_permutation_oracle():
+    # every inverse-closed generator set for n <= 6, seeded ones up to n = 10
+    rng = random.Random(2026)
+    cases = [(n, range(1, 1 << len(_inverse_classes(n)))) for n in range(3, 7)]
+    cases += [(n, [rng.randrange(1, 1 << len(_inverse_classes(n))) for _ in range(25)])
+              for n in range(7, 11)]
+    with_reflexions = 0
+    for n, masks in cases:
+        for gens in _generator_sets(n, masks):
+            g = cayley_dihedral(n, gens)
+            assert g.labels == tuple(all_elements(n))
+            assert set(g.edges()) == brute_cayley_edges(n, g.labels, gens), (n, sorted(map(str, gens)))
+            with_reflexions += any(not e.is_rotation for e in gens)
+    assert with_reflexions > 500
 
 
 def test_cayley_validation():

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import random
+import shlex
+from pathlib import Path
 
 import pytest
 
-from kneser_lab import cli, families, harness
+from kneser_lab import cli, dihedral, families, harness
 from kneser_lab.budget import BUDGET_ENV_VAR, SearchBudget
 from kneser_lab.claims import CLAIMS
 from kneser_lab.cliques import clique_number, independence_number
@@ -96,6 +98,19 @@ def test_faulty_circulant_map_fails_its_rows(monkeypatch):
     }
     homidem = harness.run_hom_idempotence_suite(manifest=manifest)
     assert [(r.claim_id, r.status) for r in homidem] == [("homidem-positive", "fail")]
+
+
+def test_faulty_reflexion_witness_fails_its_row(monkeypatch):
+    # the reflexion row is the only check of each witness, so a vertex that
+    # misses its image grades as a failure naming the reflexion, not an error
+    def first_vertex(e, n, k, s):
+        return KSubset(tuple(1 + t * s for t in range(k)), n)
+
+    monkeypatch.setattr(dihedral, "non_shift_witness", first_vertex)
+    grid = {"shift_grid": {"k_values": [2], "s_values": [3], "n_cap": 9}}
+    rows = _by_claim(harness.run_shift_grid(manifest=grid), "shift-reflexion-witness")
+    assert [r.status for r in rows] == ["fail"] * 3
+    assert sum(len(r.computed) for r in rows) == 15
 
 
 def test_claim_ids_have_manifest_entries():
@@ -281,6 +296,13 @@ def test_cli_usage_errors_exit_64(capsys):
     assert cli.main(["construct", "mystery:n=1"]) == 64
 
 
+def test_cli_shifts_predict_usage_error_prints_nothing(capsys):
+    # no prediction exists for n <= sk; that is found before any output
+    assert cli.main(["shifts", "stable:n=6,k=2,s=3", "--predict"]) == 64
+    printed = capsys.readouterr()
+    assert printed.out == "" and "no shift characterization" in printed.err
+
+
 def test_cli_shifts_requires_stable(capsys):
     assert cli.main(["shifts", "kneser:n=5,k=2"]) == 64
 
@@ -418,6 +440,22 @@ def test_cli_probe(capsys):
     assert cli.main(["probe", "--n", "9", "--k", "2", "--s", "3"]) == 0
     printed = capsys.readouterr().out
     assert "CONJECTURE" in printed
+
+
+def _readme_cli_examples():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("kneser-lab ")]
+    assert lines, "README.md has no kneser-lab lines in its CLI block"
+    return [shlex.split(line, comments=True)[1:] for line in lines]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_examples(), ids=" ".join)
+def test_readme_cli_examples_run(argv, tmp_path, monkeypatch, capsys):
+    # every documented command must keep working, run where it may write files
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    assert cli.main(argv) == 0
 
 
 def test_budget_env_var(monkeypatch):

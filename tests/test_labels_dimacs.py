@@ -1,7 +1,7 @@
 import pytest
 
 from kneser_lab import cli
-from kneser_lab.dihedral import DihedralElement, rho, rotation
+from kneser_lab.dihedral import delta, rho, rotation
 from kneser_lab.dimacs import dimacs_dumps, dimacs_loads, read_dimacs
 from kneser_lab.families import kneser, stable_kneser
 from kneser_lab.graphs import GraphError, cycle_graph, make_graph
@@ -48,7 +48,7 @@ def test_cyclic_elem_validation():
         CyclicElem(3, 8),
         rotation(2, 6),
         rho(1, 7),
-        DihedralElement("d", 2, 8),
+        delta(2, 8),
         (KSubset((2, 5), 7), CyclicElem(0, 4)),
         ((1, 2), (CyclicElem(1, 3), 4)),
         17,
