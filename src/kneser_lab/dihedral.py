@@ -14,9 +14,10 @@ Names enter through `rotation`, `rho`, `delta` and `parse_element`, which
 check the index range, and leave through `kind`, `index` and `str()`.
 
 The module also detects and predicts the shifts of stable Kneser graphs,
-i.e. the automorphisms that move every vertex onto one of its neighbors. The
-symmetries labels declare (r1 and p1, or +1 on residues) are verified once per
-graph; shifts and root orbits are read from those generators.
+i.e. the automorphisms that move every vertex onto one of its neighbors.
+`label_group` is the one table of the symmetries labels declare: it verifies
+r1 and p1 (or +1 on residues) once per graph and multiplies them out into
+every element's vertex permutation; shifts and root orbits are read from it.
 """
 
 from __future__ import annotations
@@ -24,11 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .graphs import Graph, GraphError, connected_components, label_automorphism, make_graph
+from .graphs import Graph, GraphError, label_automorphism
 from .labels import CyclicElem, KSubset
 from .modn import mod1
-
-_KIND_RANK = {"r": 0, "p": 1, "d": 2}
 
 
 @dataclass(frozen=True)
@@ -62,13 +61,6 @@ class DihedralElement:
         if not 1 <= x <= self.n:
             raise ValueError(f"point {x} outside 1..{self.n}")
         return mod1(self.sign * x + self.offset, self.n)
-
-    def perm(self) -> tuple[int, ...]:
-        """Images of 1..n, as a tuple."""
-        return tuple(self.apply(x) for x in range(1, self.n + 1))
-
-    def sort_key(self) -> tuple[int, int]:
-        return (_KIND_RANK[self.kind], self.index)
 
     def __str__(self):
         return f"{self.kind}{self.index}"
@@ -121,7 +113,7 @@ def all_elements(n: int) -> list[DihedralElement]:
 def parse_element(text: str, n: int) -> DihedralElement:
     """Parse "r3" / "p2" / "d1"."""
     kind, idx = text[:1], text[1:]
-    if kind not in _KIND_RANK or not idx.lstrip("-").isdigit():
+    if kind not in ("r", "p", "d") or not idx.lstrip("-").isdigit():
         raise ValueError(f"malformed dihedral element text {text!r}")
     return _named(kind, int(idx), n)
 
@@ -144,10 +136,13 @@ def act_on_vertex(e: DihedralElement, v: KSubset) -> KSubset:
     return KSubset(tuple(sorted(e.apply(x) for x in v.elements)), v.ambient)
 
 
-def label_generators(g: Graph) -> list[tuple[int, ...]] | None:
-    """Verified automorphisms of g from the symmetries its labels declare: +1 on
-    residues mod n; r1 and p1 by left multiplication on dihedral elements and
-    elementwise on k-subsets of [n], n >= 3. None if a check fails or g has none."""
+def label_group(g: Graph) -> dict[DihedralElement, tuple[int, ...]] | None:
+    """The vertex permutation of every element of the group g's labels declare,
+    keyed in `all_elements` order: the n rotations on residues mod n; all 2n
+    elements by left multiplication on dihedral elements and elementwise on
+    k-subsets of [n], n >= 3. Only r1 and p1 are checked by `label_automorphism`:
+    r_i is r1 applied i times and x -> c - x is r_{c-2} after p1, and a product
+    of automorphisms is one. None if a check fails or g declares no group."""
     labels = g.labels
     first = labels[0] if labels else None
     if isinstance(first, CyclicElem) and all(
@@ -158,7 +153,8 @@ def label_generators(g: Graph) -> list[tuple[int, ...]] | None:
     elif isinstance(first, DihedralElement) and all(
         isinstance(l, DihedralElement) and l.n == first.n for l in labels
     ):
-        acts = [partial(compose, gen) for gen in (rotation(1, first.n), rho(1, first.n))]
+        n = first.n
+        acts = [partial(compose, gen) for gen in (rotation(1, n), rho(1, n))]
     elif isinstance(first, KSubset) and first.ambient >= 3 and all(
         isinstance(l, KSubset) and l.ambient == first.ambient for l in labels
     ):
@@ -166,57 +162,48 @@ def label_generators(g: Graph) -> list[tuple[int, ...]] | None:
         acts = [partial(act_on_vertex, gen) for gen in (rotation(1, n), rho(1, n))]
     else:
         return None
-    perms = [label_automorphism(g, act) for act in acts]
-    return None if None in perms else perms
-
-
-def _automorphism_table(g: Graph, n: int) -> dict[DihedralElement, tuple[int, ...]]:
-    """Every element's vertex permutation on a graph with k-subset labels over
-    [n]: r_i is r1 applied i times, and each reflexion is some r_i after p1."""
-    gens = label_generators(g)
-    if gens is None or not isinstance(g.labels[0], KSubset) or g.labels[0].ambient != n:
-        raise GraphError(f"the dihedral group of [{n}] does not act on the graph's labels")
-    r1, p1 = gens
-    table = {}
-    perm = tuple(range(g.order))
-    for i in range(n):
-        table[rotation(i, n)] = perm
-        table[compose(rotation(i, n), rho(1, n))] = tuple(perm[x] for x in p1)
-        perm = tuple(r1[x] for x in perm)
-    return table
+    gens = [label_automorphism(g, act) for act in acts]
+    if None in gens:
+        return None
+    rotations = [tuple(range(g.order))]
+    for _ in range(n - 1):
+        rotations.append(tuple(gens[0][x] for x in rotations[-1]))
+    # keys built directly: `rotation` rejects the residues mod 1 and 2
+    group = {DihedralElement(1, i, n): perm for i, perm in enumerate(rotations)}
+    if len(gens) == 2:
+        for e in all_elements(n)[n:]:
+            group[e] = tuple(rotations[(e.offset - 2) % n][x] for x in gens[1])
+    return group
 
 
 def symmetry_root_candidates(h: Graph) -> int | None:
-    """Bitmask with one target vertex per orbit of `label_generators(h)`, or None."""
-    perms = label_generators(h)
-    if perms is None:
+    """Bitmask of the least vertex of each orbit of `label_group(h)`, or None."""
+    group = label_group(h)
+    if group is None:
         return None
-    moves = {(u, v) for perm in perms for u, v in enumerate(perm) if u != v}
-    return sum(1 << orbit[0] for orbit in connected_components(make_graph(h.order, moves)))
+    return sum(1 << v for v in range(h.order) if all(perm[v] >= v for perm in group.values()))
 
 
 def is_shift(e: DihedralElement, g: Graph) -> tuple[bool, int | None]:
     """Does e move every vertex onto a neighbor? Returns (answer, witness).
 
     The witness is a vertex index u with u not adjacent to e(u), or None.
-    GraphError when the group does not act on g's labels.
+    GraphError when e is not in the group g's labels declare.
     """
-    perm = _automorphism_table(g, e.n)[e]
-    for u, img in enumerate(perm):
-        if not g.has_edge(u, img):
-            return False, u
-    return True, None
+    perm = (label_group(g) or {}).get(e)
+    if perm is None:
+        raise GraphError(f"{e} on [{e.n}] does not act on the graph's labels")
+    witness = next((u for u, img in enumerate(perm) if not g.has_edge(u, img)), None)
+    return witness is None, witness
 
 
 def enumerate_shifts(g: Graph) -> tuple[DihedralElement, ...]:
-    """Scan all 2n dihedral elements of a stable Kneser graph for shifts;
-    the shifts come sorted by name."""
-    labels = g.labels
-    if not labels or not isinstance(labels[0], KSubset):
-        raise GraphError("shift enumeration needs a graph with k-subset labels")
-    table = _automorphism_table(g, labels[0].ambient)
-    shifts = (e for e, perm in table.items() if all(g.has_edge(u, v) for u, v in enumerate(perm)))
-    return tuple(sorted(shifts, key=DihedralElement.sort_key))
+    """The elements of `label_group(g)` that move every vertex onto a neighbor,
+    in `all_elements` order (by name)."""
+    group = label_group(g)
+    if group is None:
+        raise GraphError("shift enumeration needs a graph whose labels declare a group")
+    return tuple(e for e, perm in group.items() if all(map(g.has_edge, range(g.order), perm)))
 
 
 def predicted_shift_indices(n: int, k: int, s: int) -> set[int]:

@@ -28,30 +28,32 @@ def dimacs_loads(text: str) -> Graph:
     order = None
     edges = []
     labels: dict[int, object] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
+    for lineno, line in enumerate(text.splitlines(), 1):
+        parts = line.split()
+        if not parts:
             continue
-        if line.startswith("c"):
-            parts = line.split(maxsplit=3)
-            if len(parts) == 4 and parts[1] == "label":
-                labels[int(parts[2]) - 1] = parse_label(parts[3])
-            continue
-        if line.startswith("p"):
+        if parts[0] == "p":
             if order is not None:
                 raise GraphError(f"repeated problem line: {line!r}")
-            parts = line.split()
             if len(parts) < 4 or parts[1] != "edge":
                 raise GraphError(f"malformed problem line: {line!r}")
             order, declared = int(parts[2]), int(parts[3])
-            continue
-        if line.startswith("e"):
+        elif parts[0] == "e":
             if order is None:
                 raise GraphError("edge line before the problem line")
-            parts = line.split()
             if len(parts) != 3:
                 raise GraphError(f"edge line needs exactly two endpoints: {line!r}")
             edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+        elif not parts[0].startswith("c"):
+            raise GraphError(f"line {lineno} is no comment, 'p' or 'e' line: {line!r}")
+        elif len(parts) >= 4 and parts[1] == "label":
+            v = int(parts[2]) - 1
+            if v in labels:
+                raise GraphError(f"line {lineno} labels vertex {v + 1} a second time")
+            try:
+                labels[v] = parse_label(line.split(maxsplit=3)[3])
+            except RecursionError:
+                raise GraphError(f"line {lineno}: label nested too deeply to parse") from None
     if order is None:
         raise GraphError("missing 'p edge' header")
     if len(edges) != declared:

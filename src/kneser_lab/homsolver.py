@@ -4,7 +4,7 @@
 public call; homomorphisms and core sub-searches differ only in their start
 domains. Arc consistency narrows whole domains: a changed domain of v cuts
 each neighbour of v to the union of the target neighbourhoods of v's
-candidates. Verified target symmetries give one root candidate per orbit.
+candidates. The target's `label_group` gives one root candidate per orbit.
 A negative answer only follows a completed search; every positive answer and
 loaded certificate passes the map checker `graphs.verify_homomorphism`.
 """

@@ -4,9 +4,10 @@ from itertools import product
 
 import pytest
 
-from helpers import named_perm
+from helpers import named_perm, perm_inverse
 from kneser_lab import dihedral
 from kneser_lab.dihedral import (
+    DihedralElement,
     act_on_vertex,
     all_elements,
     compose,
@@ -15,17 +16,25 @@ from kneser_lab.dihedral import (
     identity,
     inverse,
     is_shift,
+    label_group,
     non_shift_witness,
     parse_element,
     predicted_shift_indices,
     predicted_shifts,
     rho,
     rotation,
+    symmetry_root_candidates,
 )
-from kneser_lab.families import stable_kneser
+from kneser_lab.families import (
+    cayley_dihedral,
+    circulant,
+    kneser,
+    parse_family_spec,
+    stable_kneser,
+)
 from kneser_lab.graphs import GraphError, induced_subgraph, label_automorphism
 from kneser_lab.harness import load_manifest
-from kneser_lab.labels import KSubset, format_label, parse_label
+from kneser_lab.labels import CyclicElem, KSubset, format_label, parse_label
 from kneser_lab.modn import mod1
 
 
@@ -60,7 +69,7 @@ def test_element_counts_and_distinctness():
     for n in range(3, 11):
         els = all_elements(n)
         assert len(els) == 2 * n
-        assert len({e.perm() for e in els}) == 2 * n
+        assert len({tuple(map(e.apply, range(1, n + 1))) for e in els}) == 2 * n
 
 
 def test_index_ranges_enforced():
@@ -79,7 +88,7 @@ def test_compose_matches_pointwise_everywhere():
         els = all_elements(n)
         for a, b in product(els, els):
             c = compose(a, b)
-            assert c.perm() == tuple(a.apply(b.apply(x)) for x in range(1, n + 1))
+            assert all(c.apply(x) == a.apply(b.apply(x)) for x in range(1, n + 1))
 
 
 def test_compose_rotation_addition():
@@ -146,12 +155,12 @@ def test_action_preserves_stability_exhaustively():
 
 def test_induced_automorphism_identity():
     g = stable_kneser(7, 2, 3)
-    assert dihedral._automorphism_table(g, 7)[identity(7)] == tuple(range(7))
+    assert label_group(g)[identity(7)] == tuple(range(7))
 
 
 def test_rotations_form_cyclic_subgroup():
     g = stable_kneser(7, 2, 3)
-    table = dihedral._automorphism_table(g, 7)
+    table = label_group(g)
     base = table[rotation(1, 7)]
     perm = tuple(range(7))
     perms = set()
@@ -166,7 +175,7 @@ def test_every_element_induces_automorphism_small_n():
     # edge and non-edge preservation, exhaustively checked
     for n, k, s in ((6, 2, 2), (8, 2, 3), (10, 3, 3), (12, 2, 4)):
         g = stable_kneser(n, k, s)
-        table = dihedral._automorphism_table(g, n)
+        table = label_group(g)
         for e in all_elements(n):
             perm = table[e]
             assert sorted(perm) == list(range(g.order))
@@ -183,7 +192,7 @@ def test_generator_products_match_each_label_action():
         for s in cfg["s_values"]:
             for n in range(s * k + 1, min((k + 2) * s, cfg["n_cap"]) + 1):
                 g = stable_kneser(n, k, s)
-                table = dihedral._automorphism_table(g, n)
+                table = label_group(g)
                 assert set(table) == set(all_elements(n))
                 for e, perm in table.items():
                     assert perm == label_automorphism(g, partial(act_on_vertex, e))
@@ -206,7 +215,7 @@ def test_not_vertex_transitive_witness():
     g = stable_kneser(6, 2, 2)
     src = g.label_index()[KSubset((1, 3), 6)]
     dst = g.label_index()[KSubset((1, 4), 6)]
-    table = dihedral._automorphism_table(g, 6)
+    table = label_group(g)
     for e in all_elements(6):
         assert table[e][src] != dst
 
@@ -226,10 +235,114 @@ def test_is_shift_examples():
 def test_induced_automorphism_requires_subset_labels():
     from kneser_lab.graphs import cycle_graph
 
+    assert label_group(cycle_graph(6)) is None
+    assert label_group(induced_subgraph(stable_kneser(8, 2, 3), range(5))) is None
+
+
+def _circulants():
+    """Every circulant on at most 9 vertices, with its connection set."""
+    for n in range(1, 10):
+        halves = range(1, n // 2 + 1)
+        for mask in range(1 << len(halves)):
+            conn = {c for i, c in enumerate(halves) if mask >> i & 1}
+            conn |= {n - c for c in conn}
+            yield conn, circulant(n, conn)
+
+
+def _cayley_graphs():
+    """Seeded dihedral Cayley graphs for n = 3..8, and one per n on all the
+    reflexions, with their generator sets."""
+    rng = random.Random(5)
+    for n in range(3, 9):
+        els = all_elements(n)
+        sets = [set(els[n:])]
+        for _ in range(6):
+            picked = rng.sample(els[1:], rng.randint(1, 3))
+            sets.append({*picked, *map(inverse, picked)})
+        for gens in sets:
+            yield gens, cayley_dihedral(n, gens)
+
+
+def _labelled_graphs():
+    """Graphs with each of the three label kinds that declare a group."""
+    yield from (g for _, g in _circulants())
+    yield from (g for _, g in _cayley_graphs())
+    yield kneser(5, 2)
+    for n, k, s in ((6, 2, 2), (7, 2, 3), (8, 3, 2), (9, 2, 3), (10, 2, 4)):
+        yield stable_kneser(n, k, s)
+
+
+def _declared_elements(g):
+    """The elements g's labels declare: rotations for residues, else all 2n."""
+    first = g.labels[0]
+    if isinstance(first, CyclicElem):
+        n = first.modulus
+        return all_elements(n)[:n] if n >= 3 else [DihedralElement(1, i, n) for i in range(n)]
+    return all_elements(first.ambient if isinstance(first, KSubset) else first.n)
+
+
+def _label_action(e, label):
+    """The element e acting on one vertex label of any of the three kinds."""
+    if isinstance(label, CyclicElem):
+        return CyclicElem((label.value + e.offset) % label.modulus, label.modulus)
+    if isinstance(label, KSubset):
+        return act_on_vertex(e, label)
+    return compose(e, label)
+
+
+def test_label_group_matches_each_label_action_on_every_label_kind():
+    # residue, dihedral and k-subset labels: each entry, built from r1 and p1,
+    # against the element's own label action verified on its own
+    for g in _labelled_graphs():
+        group = label_group(g)
+        assert list(group) == _declared_elements(g)
+        for e, perm in group.items():
+            assert perm == label_automorphism(g, partial(_label_action, e))
+
+
+def test_root_candidates_meet_every_orbit_once_on_every_label_kind():
+    for g in _labelled_graphs():
+        reps = symmetry_root_candidates(g)
+        index = g.label_index()
+        for label in g.labels:
+            orbit = {index[_label_action(e, label)] for e in _declared_elements(g)}
+            assert sum(reps >> v & 1 for v in orbit) == 1
+
+
+def test_enumerate_shifts_matches_circulant_and_cayley_oracles():
+    # x -> x + c is a shift of a circulant exactly when c is in its connection set
+    for conn, g in _circulants():
+        assert enumerate_shifts(g) == tuple(DihedralElement(1, c, g.order) for c in sorted(conn))
+    # on Cay(D_n, S), u ~ ug for g in S, so u ~ xu exactly when u^-1 x u is in S;
+    # the conjugates are worked out on image tuples built from the names
+    for gens, g in _cayley_graphs():
+        n = g.labels[0].n
+        targets = {named_perm(str(t), n) for t in gens}
+        perms = [named_perm(str(u), n) for u in all_elements(n)]
+        expected = tuple(
+            x
+            for x, xp in zip(all_elements(n), perms)
+            if all(tuple(perm_inverse(u)[xp[y - 1] - 1] for y in u) in targets for u in perms)
+        )
+        assert enumerate_shifts(g) == expected
+    assert _texts(enumerate_shifts(circulant(8, {1, 2, 6, 7}))) == ("r1", "r2", "r6", "r7")
+    caydih = parse_family_spec("caydih:n=6,gens=r1,r5,p1").build()
+    assert _texts(enumerate_shifts(caydih)) == ("r1", "r5")
+
+
+def test_is_shift_reads_the_label_group():
+    for g in (circulant(8, {1, 2, 6, 7}), cayley_dihedral(5, set(all_elements(5)[5:]))):
+        shifts = enumerate_shifts(g)
+        for e in label_group(g):
+            ok, witness = is_shift(e, g)
+            assert ok == (e in shifts)
+            assert ok or not g.has_edge(witness, label_group(g)[e][witness])
     with pytest.raises(GraphError):
-        dihedral._automorphism_table(cycle_graph(6), 6)
+        is_shift(rho(1, 8), circulant(8, {1, 7}))  # residues declare rotations only
     with pytest.raises(GraphError):
-        dihedral._automorphism_table(induced_subgraph(stable_kneser(8, 2, 3), range(5)), 8)
+        is_shift(rotation(1, 7), stable_kneser(8, 2, 3))
+    with pytest.raises(GraphError):
+        enumerate_shifts(induced_subgraph(stable_kneser(8, 2, 3), range(5)))
 
 
 def test_enumerate_shifts_frozen_values():
@@ -292,7 +405,7 @@ def test_element_names_round_trip():
         for e in els:
             assert parse_element(str(e), n) == e
             assert parse_label(format_label(e)) == e
-            assert e.perm() == named_perm(str(e), n)
+            assert tuple(map(e.apply, range(1, n + 1))) == named_perm(str(e), n)
         assert len({str(e) for e in els}) == 2 * n
 
 

@@ -180,7 +180,7 @@ def _inverse_classes(n):
     found from image tuples."""
     by_perm = {named_perm(str(e), n): e for e in all_elements(n)[1:]}
     classes = {frozenset((e, by_perm[perm_inverse(p)])) for p, e in by_perm.items()}
-    return sorted(classes, key=lambda c: min(e.sort_key() for e in c))
+    return sorted(classes, key=lambda c: min(all_elements(n).index(e) for e in c))
 
 
 def _generator_sets(n, masks):

@@ -94,6 +94,11 @@ def test_dimacs_rejects_garbage():
         "p edge 3 1\ne 1\n",
         "p edge 3 0\np edge 5 0\n",
         "p edge 3 1\ne 1 2 3\n",
+        # only the first token names a line kind, and only "c", "p" and "e" exist
+        "p edge 2 1\nedge 1 2\n",
+        "p edge 2 0\nx 1 2\n",
+        "p edge 2 0\nn 1 5\n",
+        "c label 1 z0@3\nc label 1 z2@3\np edge 1 0\n",
     ],
 )
 def test_dimacs_rejects_malformed_edges(tmp_path, capsys, text):
@@ -103,6 +108,14 @@ def test_dimacs_rejects_malformed_edges(tmp_path, capsys, text):
     path.write_text(text)
     assert cli.main(["chi", str(path)]) == 64
     assert "error" in capsys.readouterr().err
+
+
+def test_deeply_nested_label_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.dimacs"
+    path.write_text("c label 1 " + "(" * 3000 + "1" + ",1)" * 3000 + "\np edge 1 0\n")
+    assert cli.main(["construct", str(path)]) == 64
+    err = capsys.readouterr().err
+    assert "line 1" in err and len(err.splitlines()) == 1
 
 
 def test_dimacs_rejects_partial_labels():
