@@ -1,10 +1,11 @@
 """Homomorphism search, solver outcomes, and JSON certificates.
 
-`_solve` backtracks over per-vertex candidate bitsets on the clock of the
-public call; homomorphisms and core sub-searches differ only in their start
-domains. Arc consistency narrows whole domains: a changed domain of v cuts
-each neighbour of v to the union of the target neighbourhoods of v's
-candidates. The target's `label_group` gives one root candidate per orbit.
+`_run_search` is the one backtracking skeleton over per-vertex candidate
+bitsets, on the clock of the public call; a propagator narrows the domains at
+every node. Homomorphism and core searches share arc consistency and differ
+only in their start domains: a changed domain of v cuts each neighbour of v
+to the union of the target neighbourhoods of v's candidates. The target's
+`label_group` gives one root candidate per orbit.
 A negative answer only follows a completed search; every positive answer and
 loaded certificate passes the map checker `graphs.verify_homomorphism`.
 """
@@ -42,12 +43,10 @@ class SolveOutcome:
         return self.status == "found"
 
 
-def _run_search(g: Graph, h: Graph, doms: list[int], clock: BudgetClock):
-    """Return a mapping tuple or None. doms is consumed."""
-    n = g.order
-    if any(d == 0 for d in doms):
-        return None
-    nbrs = [list(iter_bits(g.adj[u])) for u in range(n)]
+def _arc_consistency(g: Graph, h: Graph):
+    """The propagator of g -> h: `enforce(doms, seeds)` narrows doms in place
+    from the changed vertices `seeds` and returns False on a wipe-out."""
+    nbrs = [list(iter_bits(g.adj[u])) for u in range(g.order)]
     tadj = h.adj
 
     def enforce(doms: list[int], seeds) -> bool:
@@ -67,7 +66,14 @@ def _run_search(g: Graph, h: Graph, doms: list[int], clock: BudgetClock):
                     queue.add(w)
         return True
 
-    if not enforce(doms, range(n)):
+    return enforce
+
+
+def _run_search(doms: list[int], enforce, clock: BudgetClock):
+    """Return the tuple of values of a solution within doms, or None after a
+    completed search. doms is consumed; `enforce` propagates every node."""
+    n = len(doms)
+    if any(d == 0 for d in doms) or not enforce(doms, range(n)):
         return None
 
     def branch_vertex(doms: list[int]) -> int:
@@ -81,7 +87,7 @@ def _run_search(g: Graph, h: Graph, doms: list[int], clock: BudgetClock):
                 best, best_count = u, c
         return best
 
-    # arc consistency with all-singleton domains is a solution
+    # propagation that leaves every domain a singleton has found a solution
     best = branch_vertex(doms)
     if best < 0:
         return tuple(d.bit_length() - 1 for d in doms)
@@ -107,10 +113,10 @@ def _run_search(g: Graph, h: Graph, doms: list[int], clock: BudgetClock):
     return None
 
 
-def _solve(g: Graph, h: Graph, doms: list[int], clock: BudgetClock) -> SolveOutcome:
+def _solve(g: Graph, h: Graph, doms: list[int], enforce, clock: BudgetClock) -> SolveOutcome:
     """Search g -> h within `doms` on `clock`; nodes are the clock's total."""
     try:
-        mapping = _run_search(g, h, doms, clock)
+        mapping = _run_search(doms, enforce, clock)
     except BudgetExhausted:
         return SolveOutcome("exhausted", None, clock.nodes, clock.elapsed())
     if mapping is None:
@@ -138,7 +144,7 @@ def find_homomorphism(
         if reps is not None:
             root = max(range(g.order), key=lambda u: (g.degree(u), -u))
             doms[root] &= reps
-    return _solve(g, h, doms, clock)
+    return _solve(g, h, doms, _arc_consistency(g, h), clock)
 
 
 @dataclass(frozen=True)
@@ -157,8 +163,9 @@ def is_core(g: Graph, budget: SearchBudget | None = None) -> CoreOutcome:
     """
     clock = resolve_budget(budget).start()
     full = (1 << g.order) - 1
+    enforce = _arc_consistency(g, g)
     for v in range(g.order):
-        outcome = _solve(g, g, [full & ~(1 << v)] * g.order, clock)
+        outcome = _solve(g, g, [full & ~(1 << v)] * g.order, enforce, clock)
         if outcome.status != "none":
             status = "not-core" if outcome.found else "exhausted"
             return CoreOutcome(status, outcome.homomorphism, clock.nodes, clock.elapsed())

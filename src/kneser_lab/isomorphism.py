@@ -2,10 +2,8 @@
 
 Both graphs are colour-refined in one shared palette, starting from the
 sizes of the connected components, and each vertex of g starts with the
-vertices of h in its colour class as candidates. The search
-branches on the unplaced vertex with the fewest candidates; placing u at w
-narrows every unplaced vertex to the neighbours of w if it is adjacent to u,
-and to the other non-neighbours of w if not. An empty candidate set prunes
+vertices of h in its colour class as candidates. The search is
+`homsolver._run_search` with forward checking. An empty candidate set prunes
 the branch. Any map found is re-verified by an independent checker.
 """
 
@@ -13,6 +11,7 @@ from __future__ import annotations
 
 from .budget import SearchBudget, resolve_budget
 from .graphs import Graph, connected_components, iter_bits, verify_homomorphism
+from .homsolver import _run_search
 
 
 def verify_isomorphism(g: Graph, h: Graph, mapping) -> bool:
@@ -60,9 +59,36 @@ def _joint_refinement(g: Graph, h: Graph) -> tuple[list[int], list[int]]:
         colors = new
 
 
+def _forward_checking(g: Graph, h: Graph):
+    """The propagator for `_run_search`: a vertex u with the single candidate
+    w keeps every other vertex among the neighbours of w if it is adjacent to
+    u, else among the non-neighbours of w other than w, so the map stays
+    injective."""
+    full = (1 << g.order) - 1
+
+    def enforce(doms: list[int], seeds) -> bool:
+        queue = [u for u in seeds if doms[u].bit_count() == 1]
+        while queue:
+            u = queue.pop()
+            adj, near = g.adj[u], h.adj[doms[u].bit_length() - 1]
+            far = full & ~near & ~doms[u]
+            for x, d in enumerate(doms):
+                new = d & (near if adj >> x & 1 else far)
+                if new != d and x != u:
+                    if not new:
+                        return False
+                    doms[x] = new
+                    if new & (new - 1) == 0:
+                        queue.append(x)
+        return True
+
+    return enforce
+
+
 def are_isomorphic(g: Graph, h: Graph, budget: SearchBudget | None = None):
     """A vertex bijection g -> h preserving adjacency both ways, or None
-    after a completed search. Each search node ticks the budget; running
+    after a completed search. The budget ticks at each branching step and
+    each candidate tried; forced placements propagate without a tick. Running
     out raises BudgetExhausted."""
     clock = resolve_budget(budget).start()
     n = g.order
@@ -71,50 +97,8 @@ def are_isomorphic(g: Graph, h: Graph, budget: SearchBudget | None = None):
     cg, ch = _joint_refinement(g, h)
     if sorted(cg) != sorted(ch):
         return None
-
-    full = (1 << n) - 1
-    mapping = [-1] * n
-
-    def branch_vertex(doms: dict[int, int]) -> int:
-        # a search node: the unplaced vertex with the fewest candidates, or -1
-        clock.tick()
-        return min(doms, key=lambda x: (doms[x].bit_count(), x)) if doms else -1
-
-    def search(doms: dict[int, int]) -> bool:
-        # depth first on an explicit stack of (domains, branching vertex,
-        # untried candidate bits), so depth is not bounded by the recursion limit
-        u = branch_vertex(doms)
-        if u < 0:
-            return True
-        stack = [(doms, u, doms[u])]
-        while stack:
-            doms, u, untried = stack.pop()
-            while untried:
-                low = untried & -untried
-                untried ^= low
-                w = low.bit_length() - 1
-                # leaving w out of every other domain keeps the map injective
-                near, far = h.adj[w], full & ~h.adj[w] & ~low
-                child = {}
-                for x, d in doms.items():
-                    if x != u:
-                        d &= near if g.adj[u] >> x & 1 else far
-                        if not d:
-                            break
-                        child[x] = d
-                else:
-                    mapping[u] = w
-                    nxt = branch_vertex(child)
-                    if nxt < 0:
-                        return True
-                    if untried:
-                        stack.append((doms, u, untried))
-                    doms, u, untried = child, nxt, child[nxt]
-        return False
-
-    if not search({u: sum(1 << w for w in range(n) if ch[w] == cg[u]) for u in range(n)}):
-        return None
-    result = tuple(mapping)
-    if not verify_isomorphism(g, h, result):
+    doms = [sum(1 << w for w in range(n) if ch[w] == cg[u]) for u in range(n)]
+    result = _run_search(doms, _forward_checking(g, h), clock)
+    if result is not None and not verify_isomorphism(g, h, result):
         raise RuntimeError("isomorphism search produced a map the checker rejects")
     return result

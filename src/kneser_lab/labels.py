@@ -7,9 +7,8 @@ stable text form so labels survive a round trip through DIMACS comments.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-
-from .modn import circular_distance
 
 
 @dataclass(frozen=True, order=True)
@@ -36,13 +35,9 @@ class KSubset:
         return inner + (els[0] + self.ambient - els[-1],)
 
     def is_stable(self, s: int) -> bool:
-        """True when every pair of elements is at circular distance >= s."""
-        els, n = self.elements, self.ambient
-        return all(
-            circular_distance(a, b, n) >= s
-            for i, a in enumerate(els)
-            for b in els[i + 1 :]
-        )
+        """True when every pair of elements is at circular distance >= s: the
+        nearest pair is always neighbours on the cycle, so check the gaps."""
+        return len(self.elements) < 2 or min(self.gaps()) >= s
 
     def __str__(self):
         return "{%s}@%d" % (",".join(map(str, self.elements)), self.ambient)
@@ -79,26 +74,31 @@ def format_label(label) -> str:
     raise TypeError(f"unsupported label type {type(label).__name__}")
 
 
-def _split_pair(body: str) -> tuple[str, str]:
-    depth = 0
-    for i, ch in enumerate(body):
-        if ch in "({":
-            depth += 1
-        elif ch in ")}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return body[:i], body[i + 1 :]
-    raise ValueError(f"malformed pair label: ({body})")
+_SPACE = re.compile(r"\s*")
+# a k-subset "{1,3}@6" or any other text up to the next bracket or comma
+_LEAF = re.compile(r"\{[^{}]*\}[^(){},]*|[^(){},]*")
 
 
-def parse_label(text: str):
-    """Inverse of format_label."""
-    text = text.strip()
-    if text.startswith("("):
-        if not text.endswith(")"):
-            raise ValueError(f"malformed pair label: {text}")
-        a, b = _split_pair(text[1:-1])
-        return (parse_label(a), parse_label(b))
+def _expect(text: str, i: int, token: str) -> int:
+    """The index just past `token`, which must come next after blanks."""
+    i = _SPACE.match(text, i).end()
+    if not text.startswith(token, i):
+        raise ValueError(f"malformed pair label: {text}")
+    return i + 1
+
+
+def _parse_from(text: str, i: int):
+    """The label whose text starts at text[i], and the index just past it."""
+    i = _SPACE.match(text, i).end()
+    if text.startswith("(", i):
+        first, i = _parse_from(text, i + 1)
+        second, i = _parse_from(text, _expect(text, i, ","))
+        return (first, second), _expect(text, i, ")")
+    end = _LEAF.match(text, i).end()
+    return _parse_leaf(text[i:end].strip()), end
+
+
+def _parse_leaf(text: str):
     if text.startswith("{"):
         body, _, amb = text.partition("@")
         els = tuple(int(t) for t in body.strip("{}").split(","))
@@ -112,3 +112,11 @@ def parse_label(text: str):
         head, _, amb = text.partition("@")
         return parse_element(head, int(amb))
     return int(text)
+
+
+def parse_label(text: str):
+    """Inverse of format_label, in one pass over the text."""
+    label, end = _parse_from(text, 0)
+    if _SPACE.match(text, end).end() != len(text):
+        raise ValueError(f"malformed label: {text}")
+    return label

@@ -5,8 +5,3 @@ def mod1(x: int, n: int) -> int:
     """Reduce x to its representative in 1..n."""
     return (x - 1) % n + 1
 
-
-def circular_distance(a: int, b: int, n: int) -> int:
-    """Length of the shorter arc between a and b on the n-cycle."""
-    d = (a - b) % n
-    return min(d, n - d)

@@ -2,7 +2,7 @@
 
 Everything here is deliberately written along different lines than the
 package code: plain recursion without propagation, direct subset sweeps,
-gap arithmetic instead of pairwise distances. A disagreement means a bug.
+pairwise distances instead of gap arithmetic. A disagreement means a bug.
 The one exception is `reference_dsatur`, the max-scan colouring search that
 the incremental kernel in `coloring` must reproduce node for node.
 """
@@ -221,15 +221,15 @@ def _reference_decide(g: Graph, k: int, clock: BudgetClock):
 
 
 
-def stable_subsets_by_gaps(n: int, k: int, s: int) -> set[tuple[int, ...]]:
-    """s-stable k-subsets of [n] selected by their circular gap vector."""
-    out = set()
-    for els in combinations(range(1, n + 1), k):
-        gaps = [b - a for a, b in zip(els, els[1:])]
-        gaps.append(els[0] + n - els[-1])
-        if all(gap >= s for gap in gaps):
-            out.add(els)
-    return out
+def is_stable_pairwise(elements, n: int, s: int) -> bool:
+    """The definition of s-stability: every pair of elements of [n] lies at
+    circular distance >= s on the n-cycle."""
+    return all(min((a - b) % n, (b - a) % n) >= s for a, b in combinations(elements, 2))
+
+
+def stable_subsets_pairwise(n: int, k: int, s: int) -> set[tuple[int, ...]]:
+    """s-stable k-subsets of [n] selected by the pairwise definition."""
+    return {els for els in combinations(range(1, n + 1), k) if is_stable_pairwise(els, n, s)}
 
 
 def named_perm(name: str, n: int) -> tuple[int, ...]:

@@ -1,14 +1,16 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from helpers import (
     audit_graph,
     brute_cayley_edges,
+    is_stable_pairwise,
     named_perm,
     pairwise_distances,
     perm_inverse,
-    stable_subsets_by_gaps,
+    stable_subsets_pairwise,
 )
 from kneser_lab.dihedral import all_elements, delta, rho, rotation
 from kneser_lab.families import (
@@ -35,6 +37,15 @@ def test_is_s_stable_examples():
     assert not KSubset((1, 6), 6).is_stable(2)
 
 
+def test_is_stable_matches_pairwise_definition():
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            for els in combinations(range(1, n + 1), k):
+                v = KSubset(els, n)
+                for s in range(n + 2):
+                    assert v.is_stable(s) == is_stable_pairwise(els, n, s), (els, n, s)
+
+
 def test_enumerate_stable_subsets_7_2_3():
     got = enumerate_stable_subsets(7, 2, 3)
     assert len(got) == 7
@@ -48,13 +59,13 @@ def test_enumerate_stable_subsets_7_2_3():
 def test_enumerate_stable_subsets_counts(n, k, s, count):
     got = enumerate_stable_subsets(n, k, s)
     assert len(got) == count
-    assert {v.elements for v in got} == stable_subsets_by_gaps(n, k, s)
+    assert {v.elements for v in got} == stable_subsets_pairwise(n, k, s)
 
 
 def test_enumerate_stable_subsets_oracle_grid():
     for n, k, s in ((9, 2, 3), (10, 3, 3), (12, 3, 2), (13, 4, 3)):
         got = enumerate_stable_subsets(n, k, s)
-        assert {v.elements for v in got} == stable_subsets_by_gaps(n, k, s)
+        assert {v.elements for v in got} == stable_subsets_pairwise(n, k, s)
 
 
 def test_kneser_petersen():

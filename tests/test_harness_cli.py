@@ -355,8 +355,10 @@ def test_cli_rejects_nonsense_budgets(monkeypatch, capsys):
 )
 def test_cli_small_budget_never_crashes(argv, code, capsys):
     # the shift and count grids run no budgeted solver, so they still pass;
-    # the iso grid's searches need more than 10 nodes
-    assert cli.main(["--budget", "10,1", *argv]) == code
+    # the iso grid decides every row within 10 nodes, but half of them need
+    # more than 4
+    budget = "4,1" if argv == ["verify", "iso"] else "10,1"
+    assert cli.main(["--budget", budget, *argv]) == code
     out = capsys.readouterr().out
     if argv == ["verify", "chi"]:
         assert "total=14 " in out

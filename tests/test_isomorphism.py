@@ -7,7 +7,7 @@ from helpers import brute_isomorphic, path_graph, random_graph
 from kneser_lab.budget import BudgetExhausted, SearchBudget
 from kneser_lab.families import circular_graph, stable_kneser
 from kneser_lab.graphs import cartesian_product, complete_graph, cycle_graph, make_graph
-from kneser_lab.isomorphism import are_isomorphic, verify_isomorphism
+from kneser_lab.isomorphism import _joint_refinement, are_isomorphic, verify_isomorphism
 
 
 def test_k3_vs_path_not_isomorphic():
@@ -89,6 +89,17 @@ def test_search_honours_the_budget():
     with pytest.raises(BudgetExhausted):
         are_isomorphic(g, h, SearchBudget(5, None))
     assert verify_isomorphism(g, h, are_isomorphic(g, h))
+
+
+def test_forced_placements_cost_no_search_node():
+    # refinement separates every vertex, so propagation places all of them
+    # and the search decides at its root node
+    rng = random.Random(1)
+    g = random_graph(rng, 8, 0.4)
+    perm = rng.sample(range(8), 8)
+    h = make_graph(8, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert len(set(_joint_refinement(g, h)[0])) == 8
+    assert are_isomorphic(g, h, SearchBudget(1, None)) == tuple(perm)
 
 
 def test_verify_rejects_non_bijection():
