@@ -9,7 +9,9 @@ Cayley graphs. All checks elsewhere reference labels, never raw indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from . import dihedral
 from .graphs import Graph
@@ -17,35 +19,31 @@ from .labels import CyclicElem, KSubset
 
 
 def enumerate_stable_subsets(n: int, k: int, s: int) -> list[KSubset]:
-    """All s-stable k-subsets of [n], lexicographically ordered."""
+    """All s-stable k-subsets of [n] in lexicographic order. Spreading a k-subset y of
+    [n - (k-1)(s-1)] to y_i + (i-1)(s-1) makes inner gaps >= s and keeps the order."""
     if k < 1 or s < 1 or n < k * s:
         raise ValueError(f"stable subsets need n >= k*s, got n={n}, k={k}, s={s}")
-    out = []
-    for els in combinations(range(1, n + 1), k):
-        v = KSubset(els, n)
-        if v.is_stable(s):
-            out.append(v)
-    return out
+    spread = (tuple(y + i * (s - 1) for i, y in enumerate(ys))
+              for ys in combinations(range(1, n - (k - 1) * (s - 1) + 1), k))
+    return [KSubset(els, n) for els in spread if n - els[-1] + els[0] >= s]
 
 
 def _disjointness_graph(verts: list[KSubset]) -> Graph:
-    masks = [sum(1 << (x - 1) for x in v.elements) for v in verts]
-    order = len(verts)
-    adj = [0] * order
-    for i in range(order):
-        for j in range(i + 1, order):
-            if not masks[i] & masks[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(order, tuple(adj), tuple(verts))
+    """Disjoint subsets are adjacent: row u is every vertex holding none of u's elements."""
+    holders: dict[int, int] = {}
+    for i, v in enumerate(verts):
+        for x in v.elements:
+            holders[x] = holders.get(x, 0) | 1 << i
+    full = (1 << len(verts)) - 1
+    adj = tuple(full & ~reduce(or_, (holders[x] for x in v.elements)) for v in verts)
+    return Graph(len(verts), adj, tuple(verts))
 
 
 def kneser(n: int, k: int) -> Graph:
     """k-subsets of [n]; edges join disjoint subsets."""
     if k < 1 or n < 2 * k:
         raise ValueError(f"Kneser family needs n >= 2k, got n={n}, k={k}")
-    verts = [KSubset(els, n) for els in combinations(range(1, n + 1), k)]
-    return _disjointness_graph(verts)
+    return _disjointness_graph(enumerate_stable_subsets(n, k, 1))
 
 
 def stable_kneser(n: int, k: int, s: int) -> Graph:

@@ -232,6 +232,12 @@ def stable_subsets_pairwise(n: int, k: int, s: int) -> set[tuple[int, ...]]:
     return {els for els in combinations(range(1, n + 1), k) if is_stable_pairwise(els, n, s)}
 
 
+def disjoint_neighbours(subsets) -> list[set[int]]:
+    """Adjacency of the disjointness graph on a list of subsets, by index: j is
+    a neighbour of i when the two subsets share no element."""
+    return [{j for j, v in enumerate(subsets) if not set(u) & set(v)} for u in subsets]
+
+
 def named_perm(name: str, n: int) -> tuple[int, ...]:
     """Images of 1..n under the dihedral element named r<i>, p<i> or d<i>, read
     off the naming rules x + i, 2i - x and 2i - 1 - x, modulo n into 1..n."""

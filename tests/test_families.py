@@ -1,11 +1,12 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from helpers import (
     audit_graph,
     brute_cayley_edges,
+    disjoint_neighbours,
     is_stable_pairwise,
     named_perm,
     pairwise_distances,
@@ -63,9 +64,33 @@ def test_enumerate_stable_subsets_counts(n, k, s, count):
 
 
 def test_enumerate_stable_subsets_oracle_grid():
-    for n, k, s in ((9, 2, 3), (10, 3, 3), (12, 3, 2), (13, 4, 3)):
-        got = enumerate_stable_subsets(n, k, s)
-        assert {v.elements for v in got} == stable_subsets_pairwise(n, k, s)
+    # the list itself, not its set: the position of a subset is its vertex index
+    for n, k, s in product(range(1, 17), range(1, 6), range(1, 6)):
+        if n >= k * s:
+            got = [v.elements for v in enumerate_stable_subsets(n, k, s)]
+            assert got == sorted(stable_subsets_pairwise(n, k, s)), (n, k, s)
+
+
+def _neighbour_sets(g):
+    return [{v for v in range(g.order) if g.adj[u] >> v & 1} for u in range(g.order)]
+
+
+def test_kneser_matches_disjointness_oracle():
+    for n in range(2, 11):
+        for k in range(1, n // 2 + 1):
+            g = kneser(n, k)
+            expected = list(combinations(range(1, n + 1), k))
+            assert [v.elements for v in g.labels] == expected, (n, k)
+            assert _neighbour_sets(g) == disjoint_neighbours(expected), (n, k)
+
+
+def test_stable_kneser_matches_disjointness_oracle():
+    for n, k, s in product(range(4, 15), range(2, 5), range(2, 5)):
+        if n >= k * s:
+            g = stable_kneser(n, k, s)
+            expected = sorted(stable_subsets_pairwise(n, k, s))
+            assert [v.elements for v in g.labels] == expected, (n, k, s)
+            assert _neighbour_sets(g) == disjoint_neighbours(expected), (n, k, s)
 
 
 def test_kneser_petersen():
