@@ -1,6 +1,9 @@
 """Exact maximum clique and maximum independent set, with witnesses.
 
 Branch and bound over bitset candidate sets with a greedy-coloring bound.
+At the root, one vertex per orbit of `dihedral.label_group` is searched:
+a clique through sigma(v) maps under the inverse of sigma to one through v,
+so once v is done its whole orbit leaves the candidates.
 Exhaustion raises BudgetExhausted rather than returning a wrong answer.
 """
 
@@ -9,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budget import SearchBudget, resolve_budget
+from .dihedral import orbit_leaders
 from .graphs import Graph, complement
 
 
@@ -48,6 +52,10 @@ def _max_clique(g: Graph, clock) -> tuple[int, tuple[int, ...]]:
     if n == 0:
         return 0, ()
     adj = g.adj
+    leader = orbit_leaders(g)
+    orbit = [0] * n  # orbit[l]: the vertices led by l
+    for u, l in enumerate(leader):
+        orbit[l] |= 1 << u
     best_size = 0
     best: tuple[int, ...] = ()
     current: list[int] = []  # the clique being extended, of `size` vertices
@@ -64,8 +72,10 @@ def _max_clique(g: Graph, clock) -> tuple[int, tuple[int, ...]]:
         while i >= 0 and size + bounds[i] > best_size:
             v = verts[i]
             i -= 1
+            if not avail >> v & 1:
+                continue  # a root whose orbit is already searched
             pmask = avail & adj[v]
-            avail &= ~(1 << v)
+            avail &= ~(orbit[leader[v]] if size == 0 else 1 << v)
             clock.tick()
             if not pmask:
                 if size >= best_size:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .budget import BudgetClock, SearchBudget, resolve_budget
 from .cliques import _max_clique
+from .dihedral import orbit_leaders
 from .families import FamilySpec
 from .graphs import Graph, complete_graph, delete_vertex, iter_bits, verify_homomorphism
 
@@ -141,13 +142,18 @@ class CriticalityReport:
 def is_chi_critical(g: Graph, budget: SearchBudget | None = None) -> CriticalityReport:
     """Vertex-criticality: does deleting any single vertex lower the chromatic number?
 
-    All g.order + 1 chromatic numbers run on one clock, so share one budget.
+    g - v and g - sigma(v) are isomorphic for sigma in `label_group(g)`, so
+    only the least vertex of each orbit is deleted and solved; the others copy
+    its value. All these chromatic numbers run on one clock, so share one budget.
     """
     clock = resolve_budget(budget).start()
     base = _chromatic(g, clock).chi
     per_vertex = []
     witness = None
-    for v in range(g.order):
+    for v, lead in enumerate(orbit_leaders(g)):
+        if lead < v:
+            per_vertex.append(per_vertex[lead])
+            continue
         sub = _chromatic(delete_vertex(g, v), clock).chi
         if sub not in (base - 1, base):
             raise RuntimeError(f"chi({v} deleted) = {sub} breaks monotonicity from {base}")

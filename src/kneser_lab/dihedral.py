@@ -17,7 +17,9 @@ The module also detects and predicts the shifts of stable Kneser graphs,
 i.e. the automorphisms that move every vertex onto one of its neighbors.
 `label_group` is the one table of the symmetries labels declare: it verifies
 r1 and p1 (or +1 on residues) once per graph and multiplies them out into
-every element's vertex permutation; shifts and root orbits are read from it.
+every element's vertex permutation; shifts are read from it. `orbit_leaders`
+reads the orbits off the same verified generators, for the searches that
+solve one vertex per orbit.
 """
 
 from __future__ import annotations
@@ -136,13 +138,11 @@ def act_on_vertex(e: DihedralElement, v: KSubset) -> KSubset:
     return KSubset(tuple(sorted(e.apply(x) for x in v.elements)), v.ambient)
 
 
-def label_group(g: Graph) -> dict[DihedralElement, tuple[int, ...]] | None:
-    """The vertex permutation of every element of the group g's labels declare,
-    keyed in `all_elements` order: the n rotations on residues mod n; all 2n
-    elements by left multiplication on dihedral elements and elementwise on
-    k-subsets of [n], n >= 3. Only r1 and p1 are checked by `label_automorphism`:
-    r_i is r1 applied i times and x -> c - x is r_{c-2} after p1, and a product
-    of automorphisms is one. None if a check fails or g declares no group."""
+def _label_generators(g: Graph) -> tuple[int, list[tuple[int, ...]]] | None:
+    """(n, the vertex permutations of the group's generators): +1 on residues
+    mod n; r1 and p1 by left multiplication on dihedral elements and
+    elementwise on k-subsets of [n], n >= 3. Each is checked by
+    `label_automorphism`; None if a check fails or g declares no group."""
     labels = g.labels
     first = labels[0] if labels else None
     if isinstance(first, CyclicElem) and all(
@@ -163,8 +163,20 @@ def label_group(g: Graph) -> dict[DihedralElement, tuple[int, ...]] | None:
     else:
         return None
     gens = [label_automorphism(g, act) for act in acts]
-    if None in gens:
+    return None if None in gens else (n, gens)
+
+
+def label_group(g: Graph) -> dict[DihedralElement, tuple[int, ...]] | None:
+    """The vertex permutation of every element of the group g's labels declare,
+    keyed in `all_elements` order: the n rotations on residues mod n, all 2n
+    elements on dihedral-element and k-subset labels. Only the generators of
+    `_label_generators` are checked: r_i is r1 applied i times and x -> c - x
+    is r_{c-2} after p1, and a product of automorphisms is one. None if a
+    check fails or g declares no group."""
+    verified = _label_generators(g)
+    if verified is None:
         return None
+    n, gens = verified
     rotations = [tuple(range(g.order))]
     for _ in range(n - 1):
         rotations.append(tuple(gens[0][x] for x in rotations[-1]))
@@ -176,12 +188,40 @@ def label_group(g: Graph) -> dict[DihedralElement, tuple[int, ...]] | None:
     return group
 
 
+def _leaders(order: int, gens) -> list[int]:
+    """The least vertex of each vertex's orbit under the group `gens` generate.
+
+    Orbits are the components of the graph joining v to each p[v], so each
+    is reached from its least vertex in one pass over the images."""
+    leader = [-1] * order
+    for v in range(order):
+        if leader[v] < 0:
+            leader[v] = v
+            stack = [v]
+            while stack:
+                u = stack.pop()
+                for perm in gens:
+                    w = perm[u]
+                    if leader[w] < 0:
+                        leader[w] = v
+                        stack.append(w)
+    return leader
+
+
+def orbit_leaders(g: Graph) -> list[int]:
+    """The least vertex of each vertex's orbit under `label_group(g)`; every
+    vertex leads its own orbit when g declares no verified group."""
+    verified = _label_generators(g)
+    return _leaders(g.order, verified[1] if verified else ())
+
+
 def symmetry_root_candidates(h: Graph) -> int | None:
     """Bitmask of the least vertex of each orbit of `label_group(h)`, or None."""
-    group = label_group(h)
-    if group is None:
+    verified = _label_generators(h)
+    if verified is None:
         return None
-    return sum(1 << v for v in range(h.order) if all(perm[v] >= v for perm in group.values()))
+    leader = _leaders(h.order, verified[1])
+    return sum(1 << v for v in range(h.order) if leader[v] == v)
 
 
 def is_shift(e: DihedralElement, g: Graph) -> tuple[bool, int | None]:

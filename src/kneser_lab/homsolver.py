@@ -5,7 +5,8 @@ bitsets, on the clock of the public call; a propagator narrows the domains at
 every node. Homomorphism and core searches share arc consistency and differ
 only in their start domains: a changed domain of v cuts each neighbour of v
 to the union of the target neighbourhoods of v's candidates. The target's
-`label_group` gives one root candidate per orbit.
+`label_group` gives one root candidate per orbit, and the core test bans one
+vertex per orbit of g's own group.
 A negative answer only follows a completed search; every positive answer and
 loaded certificate passes the map checker `graphs.verify_homomorphism`.
 """
@@ -17,7 +18,7 @@ import json
 from dataclasses import dataclass
 
 from .budget import BudgetClock, BudgetExhausted, SearchBudget, resolve_budget
-from .dihedral import symmetry_root_candidates
+from .dihedral import orbit_leaders, symmetry_root_candidates
 from .graphs import Graph, complete_graph, iter_bits, verify_homomorphism
 
 
@@ -158,13 +159,17 @@ class CoreOutcome:
 def is_core(g: Graph, budget: SearchBudget | None = None) -> CoreOutcome:
     """Exhaustively decide whether every endomorphism of g is surjective.
 
-    g fails to be a core exactly when some endomorphism misses a vertex,
-    so we try to avoid each vertex in turn, all searches on one clock.
+    g fails to be a core exactly when some endomorphism misses a vertex. If
+    f misses sigma(v) for sigma in `label_group(g)`, then sigma^-1 after f
+    misses v, so only the least vertex of each orbit is banned, in turn and
+    all searches on one clock.
     """
     clock = resolve_budget(budget).start()
     full = (1 << g.order) - 1
     enforce = _arc_consistency(g, g)
-    for v in range(g.order):
+    for v, lead in enumerate(orbit_leaders(g)):
+        if lead < v:
+            continue
         outcome = _solve(g, g, [full & ~(1 << v)] * g.order, enforce, clock)
         if outcome.status != "none":
             status = "not-core" if outcome.found else "exhausted"

@@ -12,8 +12,9 @@ from kneser_lab.coloring import (
     closed_form_chi,
     is_chi_critical,
 )
+from kneser_lab.dihedral import orbit_leaders
 from kneser_lab.families import parse_family_spec, stable_kneser
-from kneser_lab.graphs import complete_graph, cycle_graph, delete_vertex
+from kneser_lab.graphs import Graph, complete_graph, cycle_graph, delete_vertex
 from kneser_lab.homsolver import find_homomorphism
 
 
@@ -94,6 +95,18 @@ def test_dsatur_kernel_matches_max_scan_reference():
             assert new.nodes == old.nodes
 
 
+# chi nodes of the labelled graph, whose clique bound searches one root per
+# orbit of `label_group`
+ORBIT_NODES = {
+    "stable:n=10,k=2,s=2": 5_562,
+    "stable:n=9,k=3,s=2": 6_133,
+    "kneser:n=9,k=2": 1_492,
+    "kneser:n=9,k=3": 2_227,
+    "kneser:n=10,k=4": 4_185,
+    "stable:n=11,k=2,s=2": 84_277,
+}
+
+
 @pytest.mark.parametrize(
     "text, nodes, chi",
     [
@@ -106,9 +119,13 @@ def test_dsatur_kernel_matches_max_scan_reference():
     ],
 )
 def test_chi_exact_search_trees_are_pinned(text, nodes, chi):
-    # a pruning change must update these counts on purpose
-    result = chromatic_number(parse_family_spec(text).build())
-    assert (result.nodes, result.chi) == (nodes, chi)
+    # a pruning change must update these counts on purpose; `nodes` is the
+    # unreduced search, on a copy without labels and so without a group
+    g = parse_family_spec(text).build()
+    plain = chromatic_number(Graph(g.order, g.adj, None))
+    assert (plain.nodes, plain.chi) == (nodes, chi)
+    result = chromatic_number(g)
+    assert (result.nodes, result.chi) == (ORBIT_NODES[text], chi)
 
 
 def test_criticality_small():
@@ -119,13 +136,17 @@ def test_criticality_small():
 
 
 def test_criticality_spends_one_budget():
+    # the audit solves g and one deletion per orbit, all on one clock
     g = stable_kneser(6, 2, 2)
+    leaders = sorted(set(orbit_leaders(g)))
     costs = [chromatic_number(g).nodes] + [
-        chromatic_number(delete_vertex(g, v)).nodes for v in range(g.order)
+        chromatic_number(delete_vertex(g, v)).nodes for v in leaders
     ]
-    assert max(costs) < sum(costs)
+    assert costs == [17, 19, 4]
+    total = sum(costs)
+    assert is_chi_critical(g, SearchBudget(node_limit=total, time_limit=None)).critical
     with pytest.raises(BudgetExhausted):
-        is_chi_critical(g, SearchBudget(node_limit=max(costs), time_limit=None))
+        is_chi_critical(g, SearchBudget(node_limit=total - 1, time_limit=None))
 
 
 def test_criticality_two_stable():

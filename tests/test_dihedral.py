@@ -18,6 +18,7 @@ from kneser_lab.dihedral import (
     is_shift,
     label_group,
     non_shift_witness,
+    orbit_leaders,
     parse_element,
     predicted_shift_indices,
     predicted_shifts,
@@ -32,7 +33,7 @@ from kneser_lab.families import (
     parse_family_spec,
     stable_kneser,
 )
-from kneser_lab.graphs import GraphError, induced_subgraph, label_automorphism
+from kneser_lab.graphs import GraphError, cycle_graph, induced_subgraph, label_automorphism
 from kneser_lab.harness import load_manifest
 from kneser_lab.labels import CyclicElem, KSubset, format_label, parse_label
 from kneser_lab.modn import mod1
@@ -233,8 +234,6 @@ def test_is_shift_examples():
 
 
 def test_induced_automorphism_requires_subset_labels():
-    from kneser_lab.graphs import cycle_graph
-
     assert label_group(cycle_graph(6)) is None
     assert label_group(induced_subgraph(stable_kneser(8, 2, 3), range(5))) is None
 
@@ -307,6 +306,15 @@ def test_root_candidates_meet_every_orbit_once_on_every_label_kind():
         for label in g.labels:
             orbit = {index[_label_action(e, label)] for e in _declared_elements(g)}
             assert sum(reps >> v & 1 for v in orbit) == 1
+
+
+def test_orbit_leaders_are_the_least_image_under_the_whole_group():
+    for g in _labelled_graphs():
+        perms = label_group(g).values()
+        assert orbit_leaders(g) == [min(p[v] for p in perms) for v in range(g.order)]
+    # no verified group: every vertex leads its own orbit
+    for g in (cycle_graph(6), induced_subgraph(stable_kneser(8, 2, 3), range(5))):
+        assert orbit_leaders(g) == list(range(g.order))
 
 
 def test_enumerate_shifts_matches_circulant_and_cayley_oracles():

@@ -178,7 +178,7 @@ def test_verify_all_report_digest(monkeypatch):
     # Pins the whole `verify all --json` content except timings; a change
     # that alters verify output must update this digest and say why.
     monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
-    assert _untimed_digest(harness.run_all()) == "c9ec856370fea1ff"
+    assert _untimed_digest(harness.run_all()) == "25ae3d306a3321e4"
 
 
 def test_verify_homidem_square_report_digest(monkeypatch):
@@ -187,7 +187,7 @@ def test_verify_homidem_square_report_digest(monkeypatch):
     # leaves out.
     monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
     reports = harness.run_hom_idempotence_suite(include_square_search=True)
-    assert _untimed_digest(reports) == "4bb0e8fd1237b8d5"
+    assert _untimed_digest(reports) == "2c8fa989a6937c61"
 
 
 def test_verify_json_deterministic(tmp_path):
