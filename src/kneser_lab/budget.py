@@ -73,8 +73,8 @@ class BudgetClock:
     def elapsed(self) -> float:
         return time.monotonic() - self._t0
 
-    def tick(self, count: int = 1) -> None:
-        self.nodes += count
+    def tick(self) -> None:
+        self.nodes += 1
         if self.node_limit is not None and self.nodes > self.node_limit:
             raise BudgetExhausted(self.nodes, self.elapsed())
         # check the wall clock sparingly

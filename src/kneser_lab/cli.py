@@ -53,7 +53,7 @@ def _parse_range(text: str) -> list[int]:
 
 def _budget_from(args) -> SearchBudget:
     """--budget, else KNESER_LAB_BUDGET, parsed before the command does any work."""
-    if getattr(args, "budget", None):
+    if args.budget:
         return SearchBudget.from_text(args.budget)
     return SearchBudget.from_env()
 

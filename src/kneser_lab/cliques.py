@@ -1,9 +1,10 @@
 """Exact maximum clique and maximum independent set, with witnesses.
 
 Branch and bound over bitset candidate sets with a greedy-coloring bound.
-At the root, one vertex per orbit of `dihedral.label_group` is searched:
-a clique through sigma(v) maps under the inverse of sigma to one through v,
-so once v is done its whole orbit leaves the candidates.
+At the root, one vertex per orbit of the caller's `orbit_leaders` of g is
+searched: a clique through sigma(v) maps under sigma^-1 to one through v, so
+once v is done its whole orbit leaves the candidates. g and its complement
+have the same automorphisms, so `independence_number` uses g's leaders.
 Exhaustion raises BudgetExhausted rather than returning a wrong answer.
 """
 
@@ -47,12 +48,13 @@ def _color_sort(pmask: int, adj) -> tuple[list[int], list[int]]:
     return verts, bounds
 
 
-def _max_clique(g: Graph, clock) -> tuple[int, tuple[int, ...]]:
+def _max_clique(g: Graph, clock, leader) -> tuple[int, tuple[int, ...]]:
+    """A maximum clique of g on `clock`; leader[v] is the least vertex of v's
+    orbit under a group of automorphisms of g, as `orbit_leaders` gives it."""
     n = g.order
     if n == 0:
         return 0, ()
     adj = g.adj
-    leader = orbit_leaders(g)
     orbit = [0] * n  # orbit[l]: the vertices led by l
     for u, l in enumerate(leader):
         orbit[l] |= 1 << u
@@ -98,12 +100,12 @@ def _max_clique(g: Graph, clock) -> tuple[int, tuple[int, ...]]:
 def clique_number(g: Graph, budget: SearchBudget | None = None) -> ExtremalSet:
     """Exact maximum clique size with one witness clique."""
     clock = resolve_budget(budget).start()
-    size, witness = _max_clique(g, clock)
+    size, witness = _max_clique(g, clock, orbit_leaders(g))
     return ExtremalSet(size, witness, clock.nodes)
 
 
 def independence_number(g: Graph, budget: SearchBudget | None = None) -> ExtremalSet:
     """Exact maximum independent set size with one witness set."""
     clock = resolve_budget(budget).start()
-    size, witness = _max_clique(complement(g), clock)
+    size, witness = _max_clique(complement(g), clock, orbit_leaders(g))
     return ExtremalSet(size, witness, clock.nodes)

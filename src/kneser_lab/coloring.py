@@ -111,14 +111,15 @@ def _dsatur(g: Graph, k: int, tick) -> tuple[int, ...] | None:
 
 def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> ColoringResult:
     """Exact chromatic number with a proper coloring and a clique witness."""
-    return _chromatic(g, resolve_budget(budget).start())
+    return _chromatic(g, resolve_budget(budget).start(), orbit_leaders(g))
 
 
-def _chromatic(g: Graph, clock: BudgetClock) -> ColoringResult:
-    """chromatic_number on the caller's clock; `nodes` is the clock's total."""
+def _chromatic(g: Graph, clock: BudgetClock, leader) -> ColoringResult:
+    """chromatic_number on the caller's clock and the caller's orbit leaders
+    of g, which the clique bound uses; `nodes` is the clock's total."""
     if g.order == 0:
         return ColoringResult(0, (), (), clock.nodes)
-    lower, clique = _max_clique(g, clock)
+    lower, clique = _max_clique(g, clock, leader)
     coloring = _dsatur(g, g.order, _no_tick)  # greedy: one descent, never stuck
     chi = max(coloring) + 1
     for k in range(lower, chi):
@@ -144,17 +145,21 @@ def is_chi_critical(g: Graph, budget: SearchBudget | None = None) -> Criticality
 
     g - v and g - sigma(v) are isomorphic for sigma in `label_group(g)`, so
     only the least vertex of each orbit is deleted and solved; the others copy
-    its value. All these chromatic numbers run on one clock, so share one budget.
+    its value. g's symmetry is verified once; each g - v gets trivial orbits,
+    so its clique bound searches every root (its labels fail to verify on
+    every graph the lab builds; where they would verify, only nodes grow).
+    All these chromatic numbers run on one clock, so share one budget.
     """
     clock = resolve_budget(budget).start()
-    base = _chromatic(g, clock).chi
+    leader = orbit_leaders(g)
+    base = _chromatic(g, clock, leader).chi
     per_vertex = []
     witness = None
-    for v, lead in enumerate(orbit_leaders(g)):
+    for v, lead in enumerate(leader):
         if lead < v:
             per_vertex.append(per_vertex[lead])
             continue
-        sub = _chromatic(delete_vertex(g, v), clock).chi
+        sub = _chromatic(delete_vertex(g, v), clock, range(g.order - 1)).chi
         if sub not in (base - 1, base):
             raise RuntimeError(f"chi({v} deleted) = {sub} breaks monotonicity from {base}")
         per_vertex.append(sub)

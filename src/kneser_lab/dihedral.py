@@ -18,8 +18,8 @@ i.e. the automorphisms that move every vertex onto one of its neighbors.
 `label_group` is the one table of the symmetries labels declare: it verifies
 r1 and p1 (or +1 on residues) once per graph and multiplies them out into
 every element's vertex permutation; shifts are read from it. `orbit_leaders`
-reads the orbits off the same verified generators, for the searches that
-solve one vertex per orbit.
+reads the orbits off the same verified generators; each public solver calls
+it once and hands the leaders to its searches, which solve one per orbit.
 """
 
 from __future__ import annotations
@@ -188,13 +188,16 @@ def label_group(g: Graph) -> dict[DihedralElement, tuple[int, ...]] | None:
     return group
 
 
-def _leaders(order: int, gens) -> list[int]:
-    """The least vertex of each vertex's orbit under the group `gens` generate.
+def orbit_leaders(g: Graph) -> list[int]:
+    """The least vertex of each vertex's orbit under `label_group(g)`; every
+    vertex leads its own orbit when g declares no verified group.
 
-    Orbits are the components of the graph joining v to each p[v], so each
-    is reached from its least vertex in one pass over the images."""
-    leader = [-1] * order
-    for v in range(order):
+    Orbits are the components of the graph joining v to p[v] for each
+    verified generator p, so each is reached from its least vertex in one pass."""
+    verified = _label_generators(g)
+    gens = verified[1] if verified else ()
+    leader = [-1] * g.order
+    for v in range(g.order):
         if leader[v] < 0:
             leader[v] = v
             stack = [v]
@@ -206,22 +209,6 @@ def _leaders(order: int, gens) -> list[int]:
                         leader[w] = v
                         stack.append(w)
     return leader
-
-
-def orbit_leaders(g: Graph) -> list[int]:
-    """The least vertex of each vertex's orbit under `label_group(g)`; every
-    vertex leads its own orbit when g declares no verified group."""
-    verified = _label_generators(g)
-    return _leaders(g.order, verified[1] if verified else ())
-
-
-def symmetry_root_candidates(h: Graph) -> int | None:
-    """Bitmask of the least vertex of each orbit of `label_group(h)`, or None."""
-    verified = _label_generators(h)
-    if verified is None:
-        return None
-    leader = _leaders(h.order, verified[1])
-    return sum(1 << v for v in range(h.order) if leader[v] == v)
 
 
 def is_shift(e: DihedralElement, g: Graph) -> tuple[bool, int | None]:

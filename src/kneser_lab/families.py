@@ -182,13 +182,17 @@ class FamilySpec:
 
 
 def _spec_value(key: str, vals: list[str]):
-    if key == "conn":
-        return tuple(int(t) for t in vals)
     if key == "gens":
         return tuple(vals)
-    if len(vals) != 1:
+    if key != "conn" and len(vals) != 1:
         raise ValueError(f"key {key!r} takes a single value")
-    return int(vals[0])
+    ints = []
+    for t in vals:
+        try:
+            ints.append(int(t))
+        except ValueError:
+            raise ValueError(f"key {key!r} takes integers, got {t!r}") from None
+    return tuple(ints) if key == "conn" else ints[0]
 
 
 def parse_family_spec(text: str) -> FamilySpec:

@@ -4,9 +4,10 @@
 bitsets, on the clock of the public call; a propagator narrows the domains at
 every node. Homomorphism and core searches share arc consistency and differ
 only in their start domains: a changed domain of v cuts each neighbour of v
-to the union of the target neighbourhoods of v's candidates. The target's
-`label_group` gives one root candidate per orbit, and the core test bans one
-vertex per orbit of g's own group.
+to the union of the target neighbourhoods of v's candidates. Each public
+call verifies a label symmetry once, with `orbit_leaders`: the homomorphism
+search limits its root to the target's orbit leaders, and the core test bans
+one vertex per orbit of g's own group.
 A negative answer only follows a completed search; every positive answer and
 loaded certificate passes the map checker `graphs.verify_homomorphism`.
 """
@@ -18,7 +19,7 @@ import json
 from dataclasses import dataclass
 
 from .budget import BudgetClock, BudgetExhausted, SearchBudget, resolve_budget
-from .dihedral import orbit_leaders, symmetry_root_candidates
+from .dihedral import orbit_leaders
 from .graphs import Graph, complete_graph, iter_bits, verify_homomorphism
 
 
@@ -127,24 +128,18 @@ def _solve(g: Graph, h: Graph, doms: list[int], enforce, clock: BudgetClock) -> 
     return SolveOutcome("found", Homomorphism(mapping), clock.nodes, clock.elapsed())
 
 
-def find_homomorphism(
-    g: Graph,
-    h: Graph,
-    budget: SearchBudget | None = None,
-    *,
-    use_target_symmetry: bool = True,
-) -> SolveOutcome:
+def find_homomorphism(g: Graph, h: Graph, budget: SearchBudget | None = None) -> SolveOutcome:
     """Decide whether an edge-preserving map g -> h exists.
 
-    `use_target_symmetry=False` gives the unreduced reference search.
+    If f maps the root to sigma(w) for sigma in `label_group(h)`, sigma^-1
+    after f maps it to w, so the root only takes the leaders of
+    `orbit_leaders(h)`; a copy of h without labels gives the plain search.
     """
     clock = resolve_budget(budget).start()
     doms = [(1 << h.order) - 1] * g.order
-    if use_target_symmetry and g.order:
-        reps = symmetry_root_candidates(h)
-        if reps is not None:
-            root = max(range(g.order), key=lambda u: (g.degree(u), -u))
-            doms[root] &= reps
+    if g.order:
+        root = max(range(g.order), key=lambda u: (g.degree(u), -u))
+        doms[root] = sum(1 << w for w, lead in enumerate(orbit_leaders(h)) if lead == w)
     return _solve(g, h, doms, _arc_consistency(g, h), clock)
 
 

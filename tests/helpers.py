@@ -35,6 +35,12 @@ def audit_graph(g: Graph) -> bool:
     return len(g.adj) == g.order and rows_ok and labels_ok
 
 
+def strip_labels(g: Graph) -> Graph:
+    """A copy of g without labels: it declares no symmetry, so every solver
+    runs its plain, unreduced search on it."""
+    return Graph(g.order, g.adj, None)
+
+
 def is_clique(g: Graph, vertices) -> bool:
     vs = list(vertices)
     return len(set(vs)) == len(vs) and all(g.has_edge(u, v) for u, v in combinations(vs, 2))

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from helpers import brute_chromatic_number, empty_graph, random_graph, reference_dsatur
+from helpers import (
+    brute_chromatic_number,
+    empty_graph,
+    random_graph,
+    reference_dsatur,
+    strip_labels,
+)
 from kneser_lab.budget import BudgetExhausted, SearchBudget
 from kneser_lab.cliques import clique_number
 from kneser_lab.coloring import (
@@ -14,7 +20,7 @@ from kneser_lab.coloring import (
 )
 from kneser_lab.dihedral import orbit_leaders
 from kneser_lab.families import parse_family_spec, stable_kneser
-from kneser_lab.graphs import Graph, complete_graph, cycle_graph, delete_vertex
+from kneser_lab.graphs import complete_graph, cycle_graph, delete_vertex
 from kneser_lab.homsolver import find_homomorphism
 
 
@@ -122,7 +128,7 @@ def test_chi_exact_search_trees_are_pinned(text, nodes, chi):
     # a pruning change must update these counts on purpose; `nodes` is the
     # unreduced search, on a copy without labels and so without a group
     g = parse_family_spec(text).build()
-    plain = chromatic_number(Graph(g.order, g.adj, None))
+    plain = chromatic_number(strip_labels(g))
     assert (plain.nodes, plain.chi) == (nodes, chi)
     result = chromatic_number(g)
     assert (result.nodes, result.chi) == (ORBIT_NODES[text], chi)

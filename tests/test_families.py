@@ -301,6 +301,14 @@ def test_family_spec_errors():
     ):
         with pytest.raises(ValueError):
             parse_family_spec(bad)
+    # a value that is no integer: the error names its key and the value
+    for bad, key in (
+        ("stable:n=x,k=2,s=2", "n"),
+        ("circulant:n=5,conn=1,x", "conn"),
+        ("stable:n=8,k=,s=2", "k"),
+    ):
+        with pytest.raises(ValueError, match=f"key '{key}' takes integers"):
+            parse_family_spec(bad)
 
 
 def test_gap_structure_tight_family():

@@ -2,10 +2,15 @@ import random
 
 import pytest
 
-from helpers import brute_homomorphism_exists, brute_retraction_exists, random_graph
+from helpers import (
+    brute_homomorphism_exists,
+    brute_retraction_exists,
+    random_graph,
+    strip_labels,
+)
 from kneser_lab.budget import SearchBudget
 from kneser_lab.coloring import chromatic_number
-from kneser_lab.dihedral import act_on_vertex, all_elements, rotation
+from kneser_lab.dihedral import act_on_vertex, all_elements, orbit_leaders, rotation
 from kneser_lab.families import (
     cayley_dihedral,
     circulant,
@@ -29,7 +34,6 @@ from kneser_lab.homsolver import (
     check_certificate,
     find_homomorphism,
     is_core,
-    symmetry_root_candidates,
     verify_homomorphism,
 )
 from kneser_lab.isomorphism import verify_isomorphism
@@ -182,17 +186,23 @@ def test_hom_equivalence_implies_equal_chi():
     assert chromatic_number(g).chi == chromatic_number(h).chi
 
 
-def test_symmetry_root_candidates():
+def _leader_mask(h):
+    """The root domain of `find_homomorphism` into h: the orbit leaders."""
+    return sum(1 << v for v, lead in enumerate(orbit_leaders(h)) if lead == v)
+
+
+def test_root_orbit_leaders():
     circ = circulant(8, {1, 2, 6, 7})
-    assert symmetry_root_candidates(circ) == 1  # one orbit, representative 0
+    assert _leader_mask(circ) == 1  # one orbit, representative 0
     cay = cayley_dihedral(6, {rotation(1, 6), rotation(5, 6)})
-    assert symmetry_root_candidates(cay) == 1
-    assert symmetry_root_candidates(cycle_graph(5)) is None
+    assert _leader_mask(cay) == 1
+    assert orbit_leaders(cycle_graph(5)) == list(range(5))
     # one representative each for the distance-3 and the distance-4 pairs
-    assert symmetry_root_candidates(stable_kneser(8, 2, 3)) == 0b11
+    assert _leader_mask(stable_kneser(8, 2, 3)) == 0b11
     # no dihedral group on [2]; an induced subgraph the group does not act on
-    assert symmetry_root_candidates(kneser(2, 1)) is None
-    assert symmetry_root_candidates(induced_subgraph(stable_kneser(8, 2, 3), range(5))) is None
+    # (no verified group: every vertex leads itself)
+    assert orbit_leaders(kneser(2, 1)) == [0, 1]
+    assert orbit_leaders(induced_subgraph(stable_kneser(8, 2, 3), range(5))) == list(range(5))
 
 
 def _connected_first(g):
@@ -216,7 +226,7 @@ def _subset_targets():
 
 def test_subset_root_candidates_meet_every_orbit_once():
     for h in _subset_targets():
-        reps = symmetry_root_candidates(h)
+        reps = _leader_mask(h)
         index = h.label_index()
         for label in h.labels:
             orbit = {index[act_on_vertex(e, label)] for e in all_elements(label.ambient)}
@@ -231,7 +241,7 @@ def test_subset_symmetry_reduction_keeps_answers():
         g = random_graph(rng, rng.randint(1, 9), rng.choice((0.3, 0.5, 0.7)))
         h = rng.choice(targets)
         reduced = find_homomorphism(g, h).status
-        assert reduced == find_homomorphism(g, h, use_target_symmetry=False).status
+        assert reduced == find_homomorphism(g, strip_labels(h)).status
         assert (reduced == "found") == brute_homomorphism_exists(_connected_first(g), h)
         statuses.add(reduced)
     assert statuses == {"found", "none"}
@@ -241,11 +251,51 @@ def test_symmetry_does_not_change_answers():
     g = stable_kneser(6, 2, 2)
     cay = cayley_dihedral(6, {rotation(1, 6), rotation(5, 6)})
     with_sym = find_homomorphism(g, cay)
-    without = find_homomorphism(g, cay, use_target_symmetry=False)
+    without = find_homomorphism(g, strip_labels(cay))
     assert with_sym.status == without.status == "none"
     circ = circulant(5, {2, 3})
     assert find_homomorphism(cycle_graph(5), circ).found
-    assert find_homomorphism(cycle_graph(5), circ, use_target_symmetry=False).found
+    assert find_homomorphism(cycle_graph(5), strip_labels(circ)).found
+
+
+def _square(g):
+    return cartesian_product(g, g)
+
+
+@pytest.mark.parametrize(
+    "source, target, status, nodes",
+    [
+        pytest.param(
+            lambda: stable_kneser(6, 2, 2),
+            lambda: cayley_dihedral(6, {rotation(1, 6), rotation(5, 6)}),
+            "none",
+            13,
+            id="SG(6,2,2)-to-Cay(D6,r1,r5)",
+        ),
+        pytest.param(
+            lambda: cycle_graph(5), lambda: circulant(5, {2, 3}), "found", 5, id="C5-to-circulant"
+        ),
+        pytest.param(
+            lambda: _square(stable_kneser(6, 2, 2)),
+            lambda: stable_kneser(6, 2, 2),
+            "none",
+            163,
+            id="square-SG(6,2,2)",
+        ),
+        pytest.param(
+            lambda: _square(stable_kneser(9, 2, 3)),
+            lambda: stable_kneser(9, 2, 3),
+            "none",
+            13_483,
+            id="square-SG(9,2,3)",
+        ),
+    ],
+)
+def test_stripped_target_search_trees_are_pinned(source, target, status, nodes):
+    # the plain search on a label-stripped target; these are the node counts
+    # of the unreduced reference search before it took this form
+    outcome = find_homomorphism(source(), strip_labels(target()))
+    assert (outcome.status, outcome.nodes) == (status, nodes)
 
 
 def test_certificate_round_trip():

@@ -11,7 +11,8 @@ from itertools import combinations
 
 import pytest
 
-from helpers import is_clique, is_independent_set
+from helpers import is_clique, is_independent_set, strip_labels
+from kneser_lab import dihedral
 from kneser_lab.cliques import clique_number, independence_number
 from kneser_lab.coloring import chromatic_number, is_chi_critical
 from kneser_lab.dihedral import (
@@ -117,10 +118,6 @@ CORPUS = {**GRID, **MANIFEST, **_invariant_graphs()}
 CORE_CORPUS = sorted(name for name, g in CORPUS.items() if g.order <= 16)
 
 
-def _stripped(g: Graph) -> Graph:
-    return Graph(g.order, g.adj, None)
-
-
 def _mislabelled(g: Graph) -> Graph:
     """g with the labels of vertices 0 and 1 swapped, so the declared
     symmetry fails to verify."""
@@ -141,7 +138,7 @@ def test_corpus_covers_the_manifest_and_every_label_kind():
 def test_clique_and_independent_sets_match_the_plain_search(name):
     g = CORPUS[name]
     for solve, check in ((clique_number, is_clique), (independence_number, is_independent_set)):
-        reduced, plain = solve(g), solve(_stripped(g))
+        reduced, plain = solve(g), solve(strip_labels(g))
         assert reduced.size == plain.size == len(reduced.vertices)
         assert check(g, reduced.vertices)
 
@@ -149,13 +146,13 @@ def test_clique_and_independent_sets_match_the_plain_search(name):
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_criticality_report_matches_the_plain_audit(name):
     g = CORPUS[name]
-    assert is_chi_critical(g) == is_chi_critical(_stripped(g))
+    assert is_chi_critical(g) == is_chi_critical(strip_labels(g))
 
 
 @pytest.mark.parametrize("name", CORE_CORPUS)
 def test_core_status_and_witness_match_the_plain_search(name):
     g = CORPUS[name]
-    reduced, plain = is_core(g), is_core(_stripped(g))
+    reduced, plain = is_core(g), is_core(strip_labels(g))
     assert (reduced.status, reduced.witness) == (plain.status, plain.witness)
     assert reduced.nodes <= plain.nodes
 
@@ -166,7 +163,7 @@ def test_symmetry_that_fails_verification_gives_the_unreduced_search(text):
     bad = _mislabelled(g)
     assert label_group(g) is not None and label_group(bad) is None
     assert orbit_leaders(bad) == list(range(g.order))
-    plain = _stripped(g)
+    plain = strip_labels(g)
     for solve in (clique_number, independence_number, chromatic_number):
         assert solve(bad) == solve(plain)
     assert is_chi_critical(bad) == is_chi_critical(plain)
@@ -177,3 +174,18 @@ def test_symmetry_that_fails_verification_gives_the_unreduced_search(text):
         plain_core.nodes,
     )
 
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_each_solver_call_verifies_the_generators_once(monkeypatch, n):
+    # r1 and p1 of the graph the solver was given, and nothing else: not a
+    # second time for the clique bound, not on the complement, not on g - v
+    g = stable_kneser(n, 2, 2)
+    checked = []
+    check = dihedral.label_automorphism
+    monkeypatch.setattr(
+        dihedral, "label_automorphism", lambda h, act: checked.append(h) or check(h, act)
+    )
+    for solve in (is_chi_critical, chromatic_number, clique_number, independence_number):
+        checked.clear()
+        solve(g)
+        assert len(checked) == 2 and all(h is g for h in checked), solve.__name__
