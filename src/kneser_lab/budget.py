@@ -41,17 +41,21 @@ class SearchBudget:
             raise ValueError(f"time limit must be finite and >= 0, got {self.time_limit}")
 
     @classmethod
-    def from_text(cls, text: str) -> "SearchBudget":
-        """Parse "<nodes>,<seconds>"; either part may be empty to keep the default."""
+    def from_text(cls, text: str, source: str = "--budget") -> "SearchBudget":
+        """Parse "<nodes>,<seconds>"; either part may be empty to keep the
+        default. An error names `source`, where the text came from."""
         nodes_s, _, secs_s = text.partition(",")
-        nodes = int(nodes_s) if nodes_s.strip() else DEFAULT_NODE_LIMIT
-        secs = float(secs_s) if secs_s.strip() else DEFAULT_TIME_LIMIT
-        return cls(nodes, secs)
+        try:
+            nodes = int(nodes_s) if nodes_s.strip() else DEFAULT_NODE_LIMIT
+            secs = float(secs_s) if secs_s.strip() else DEFAULT_TIME_LIMIT
+            return cls(nodes, secs)
+        except ValueError as err:
+            raise ValueError(f"{source} {text!r}: {err}") from None
 
     @classmethod
     def from_env(cls) -> "SearchBudget":
         raw = os.environ.get(BUDGET_ENV_VAR, "")
-        return cls.from_text(raw) if raw.strip() else cls()
+        return cls.from_text(raw, BUDGET_ENV_VAR) if raw.strip() else cls()
 
     def start(self) -> "BudgetClock":
         return BudgetClock(self)

@@ -44,11 +44,16 @@ def _load_graph(text: str) -> Graph:
         raise
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(flag: str, text: str) -> list[int]:
+    """The integers a..b of "a:b", or [a] of "a"; an empty range is an error."""
     lo, _, hi = text.partition(":")
-    if hi:
-        return list(range(int(lo), int(hi) + 1))
-    return [int(lo)]
+    try:
+        values = list(range(int(lo), int(hi or lo) + 1))
+    except ValueError:
+        values = []
+    if not values:
+        raise ValueError(f"{flag} {text!r} is not an integer a or a range a:b with a <= b")
+    return values
 
 
 def _budget_from(args) -> SearchBudget:
@@ -163,7 +168,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    ranges = [_parse_range(text) for text in (args.n, args.k, args.s)]
+    ranges = [_parse_range(f"--{name}", getattr(args, name)) for name in "nks"]
     _report(args, harness.probe_conjectures, *ranges, square_order_cap=args.square_cap)
     return EXIT_OK
 

@@ -5,7 +5,8 @@ At the root, one vertex per orbit of the caller's `orbit_leaders` of g is
 searched: a clique through sigma(v) maps under sigma^-1 to one through v, so
 once v is done its whole orbit leaves the candidates. g and its complement
 have the same automorphisms, so `independence_number` uses g's leaders.
-Exhaustion raises BudgetExhausted rather than returning a wrong answer.
+Exhaustion raises BudgetExhausted rather than returning a wrong answer, and
+every witness passes the map checker `graphs.verify_homomorphism`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from .budget import SearchBudget, resolve_budget
 from .dihedral import orbit_leaders
-from .graphs import Graph, complement
+from .graphs import Graph, complement, complete_graph, verify_homomorphism
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,16 @@ def _color_sort(pmask: int, adj) -> tuple[list[int], list[int]]:
 
 
 def _max_clique(g: Graph, clock, leader) -> tuple[int, tuple[int, ...]]:
-    """A maximum clique of g on `clock`; leader[v] is the least vertex of v's
-    orbit under a group of automorphisms of g, as `orbit_leaders` gives it."""
+    """A maximum clique of g on `clock`, re-checked as a map from K_size;
+    leader[v] is the least vertex of v's orbit under a group of automorphisms
+    of g, as `orbit_leaders` gives it."""
+    size, clique = _clique_search(g, clock, leader)
+    if not verify_homomorphism(complete_graph(size), g, clique):
+        raise RuntimeError("search produced a clique the independent checker rejects")
+    return size, clique
+
+
+def _clique_search(g: Graph, clock, leader) -> tuple[int, tuple[int, ...]]:
     n = g.order
     if n == 0:
         return 0, ()

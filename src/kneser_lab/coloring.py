@@ -114,21 +114,26 @@ def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> ColoringRe
     return _chromatic(g, resolve_budget(budget).start(), orbit_leaders(g))
 
 
+def _colorable(g: Graph, k: int, tick) -> tuple[int, ...] | None:
+    """A proper colouring of g with colours below k, or None after a completed
+    search; every colouring the search returns is re-checked as a map into K_k."""
+    coloring = _dsatur(g, k, tick)
+    if coloring is not None and not verify_homomorphism(g, complete_graph(k), coloring):
+        raise RuntimeError("solver produced an improper coloring")
+    return coloring
+
+
 def _chromatic(g: Graph, clock: BudgetClock, leader) -> ColoringResult:
     """chromatic_number on the caller's clock and the caller's orbit leaders
     of g, which the clique bound uses; `nodes` is the clock's total."""
-    if g.order == 0:
-        return ColoringResult(0, (), (), clock.nodes)
     lower, clique = _max_clique(g, clock, leader)
-    coloring = _dsatur(g, g.order, _no_tick)  # greedy: one descent, never stuck
-    chi = max(coloring) + 1
+    coloring = _colorable(g, g.order, _no_tick)  # greedy: one descent, never stuck
+    chi = max(coloring, default=-1) + 1
     for k in range(lower, chi):
-        attempt = _dsatur(g, k, clock.tick)
+        attempt = _colorable(g, k, clock.tick)
         if attempt is not None:
             chi, coloring = k, attempt
             break
-    if not verify_homomorphism(g, complete_graph(chi), coloring):
-        raise RuntimeError("solver produced an improper coloring")
     return ColoringResult(chi, coloring, clique, clock.nodes)
 
 
@@ -143,29 +148,23 @@ class CriticalityReport:
 def is_chi_critical(g: Graph, budget: SearchBudget | None = None) -> CriticalityReport:
     """Vertex-criticality: does deleting any single vertex lower the chromatic number?
 
-    g - v and g - sigma(v) are isomorphic for sigma in `label_group(g)`, so
-    only the least vertex of each orbit is deleted and solved; the others copy
-    its value. g's symmetry is verified once; each g - v gets trivial orbits,
-    so its clique bound searches every root (its labels fail to verify on
-    every graph the lab builds; where they would verify, only nodes grow).
-    All these chromatic numbers run on one clock, so share one budget.
+    g - v is a subgraph of g, and a colouring of g - v extends to g with one
+    fresh colour, so chi - 1 <= chi(g - v) <= chi: one (chi - 1)-colouring
+    decision settles each deletion. g - v and g - sigma(v) are isomorphic for
+    sigma in `label_group(g)`, so only the least vertex of each orbit is
+    decided and the others copy it. All searches share one clock and budget.
     """
     clock = resolve_budget(budget).start()
     leader = orbit_leaders(g)
-    base = _chromatic(g, clock, leader).chi
-    per_vertex = []
-    witness = None
+    chi = _chromatic(g, clock, leader).chi
+    per_vertex = [chi] * g.order
     for v, lead in enumerate(leader):
         if lead < v:
-            per_vertex.append(per_vertex[lead])
-            continue
-        sub = _chromatic(delete_vertex(g, v), clock, range(g.order - 1)).chi
-        if sub not in (base - 1, base):
-            raise RuntimeError(f"chi({v} deleted) = {sub} breaks monotonicity from {base}")
-        per_vertex.append(sub)
-        if sub == base and witness is None:
-            witness = v
-    return CriticalityReport(base, witness is None, witness, tuple(per_vertex))
+            per_vertex[v] = per_vertex[lead]
+        elif _colorable(delete_vertex(g, v), chi - 1, clock.tick) is not None:
+            per_vertex[v] = chi - 1
+    witness = next((v for v, sub in enumerate(per_vertex) if sub == chi), None)
+    return CriticalityReport(chi, witness is None, witness, tuple(per_vertex))
 
 
 @dataclass(frozen=True)

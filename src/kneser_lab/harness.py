@@ -88,7 +88,10 @@ def _row(claim_id, params, expected, check) -> VerificationReport:
 
 def load_manifest(path: str | None = None) -> dict:
     if path is not None:
-        return json.loads(Path(path).read_text())
+        try:
+            return json.loads(Path(path).read_text())
+        except ValueError as err:  # not JSON, or not text
+            raise ValueError(f"manifest {path}: {err}") from None
     return json.loads(
         resources.files("kneser_lab").joinpath("data/suites.json").read_text()
     )

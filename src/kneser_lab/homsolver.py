@@ -9,7 +9,8 @@ call verifies a label symmetry once, with `orbit_leaders`: the homomorphism
 search limits its root to the target's orbit leaders, and the core test bans
 one vertex per orbit of g's own group.
 A negative answer only follows a completed search; every positive answer and
-loaded certificate passes the map checker `graphs.verify_homomorphism`.
+loaded certificate passes the map checker `graphs.verify_homomorphism`, and a
+"not-core" endomorphism is checked to miss a vertex.
 """
 
 from __future__ import annotations
@@ -166,6 +167,8 @@ def is_core(g: Graph, budget: SearchBudget | None = None) -> CoreOutcome:
         if lead < v:
             continue
         outcome = _solve(g, g, [full & ~(1 << v)] * g.order, enforce, clock)
+        if outcome.found and len(outcome.homomorphism.image()) == g.order:
+            raise RuntimeError("core search produced an endomorphism that misses no vertex")
         if outcome.status != "none":
             status = "not-core" if outcome.found else "exhausted"
             return CoreOutcome(status, outcome.homomorphism, clock.nodes, clock.elapsed())

@@ -9,8 +9,10 @@ from helpers import (
     is_independent_set,
     random_graph,
 )
+from kneser_lab import cliques
 from kneser_lab.budget import BudgetExhausted, SearchBudget
 from kneser_lab.cliques import clique_number, independence_number
+from kneser_lab.coloring import chromatic_number
 from kneser_lab.graphs import complete_graph, cycle_graph
 
 
@@ -51,3 +53,12 @@ def test_budget_exhaustion_is_distinct():
     g = random_graph(rng, 30, 0.5)
     with pytest.raises(BudgetExhausted):
         clique_number(g, SearchBudget(node_limit=3, time_limit=None))
+
+
+def test_clique_witness_is_rechecked(monkeypatch):
+    # a non-clique larger than chi would raise the lower bound of chi past
+    # the true value, so no caller may see one
+    monkeypatch.setattr(cliques, "_clique_search", lambda g, clock, leader: (4, (0, 1, 2, 3)))
+    for solve in (clique_number, independence_number, chromatic_number):
+        with pytest.raises(RuntimeError):
+            solve(cycle_graph(6))

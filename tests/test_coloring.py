@@ -9,9 +9,11 @@ from helpers import (
     reference_dsatur,
     strip_labels,
 )
+from kneser_lab import coloring
 from kneser_lab.budget import BudgetExhausted, SearchBudget
 from kneser_lab.cliques import clique_number
 from kneser_lab.coloring import (
+    _colorable,
     _dsatur,
     _no_tick,
     chromatic_number,
@@ -21,6 +23,7 @@ from kneser_lab.coloring import (
 from kneser_lab.dihedral import orbit_leaders
 from kneser_lab.families import parse_family_spec, stable_kneser
 from kneser_lab.graphs import complete_graph, cycle_graph, delete_vertex
+from kneser_lab.harness import load_manifest
 from kneser_lab.homsolver import find_homomorphism
 
 
@@ -142,17 +145,83 @@ def test_criticality_small():
 
 
 def test_criticality_spends_one_budget():
-    # the audit solves g and one deletion per orbit, all on one clock
+    # the audit solves g, then decides one deletion per orbit with chi - 1
+    # colours, all on one clock
     g = stable_kneser(6, 2, 2)
-    leaders = sorted(set(orbit_leaders(g)))
-    costs = [chromatic_number(g).nodes] + [
-        chromatic_number(delete_vertex(g, v)).nodes for v in leaders
-    ]
-    assert costs == [17, 19, 4]
+    result = chromatic_number(g)
+    costs = [result.nodes]
+    for v in sorted(set(orbit_leaders(g))):
+        clock = SearchBudget(node_limit=None, time_limit=None).start()
+        _colorable(delete_vertex(g, v), result.chi - 1, clock.tick)
+        costs.append(clock.nodes)
+    assert costs == [17, 13, 9]
     total = sum(costs)
     assert is_chi_critical(g, SearchBudget(node_limit=total, time_limit=None)).critical
     with pytest.raises(BudgetExhausted):
         is_chi_critical(g, SearchBudget(node_limit=total - 1, time_limit=None))
+
+
+def _audit_corpus():
+    """Seeded random graphs of order at most 9, K0, K1, edgeless graphs and
+    the critical rows of the bundled manifest."""
+    rng = random.Random(16)
+    graphs = {
+        f"random {i}": random_graph(rng, rng.randint(2, 9), rng.choice([0.25, 0.5, 0.75]))
+        for i in range(40)
+    }
+    graphs.update({"K0": complete_graph(0), "K1": complete_graph(1)})
+    graphs.update({f"edgeless {n}": empty_graph(n) for n in (2, 3, 5)})
+    graphs.update(
+        (inst["spec"], parse_family_spec(inst["spec"]).build())
+        for inst in load_manifest()["chi_instances"]
+        if "critical" in inst
+    )
+    return graphs
+
+
+AUDIT_CORPUS = _audit_corpus()
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_CORPUS))
+def test_criticality_matches_exhaustive_oracle(name):
+    g = AUDIT_CORPUS[name]
+    report = is_chi_critical(g)
+    assert report.chi == brute_chromatic_number(g)
+    per_vertex = tuple(brute_chromatic_number(delete_vertex(g, v)) for v in range(g.order))
+    assert report.per_vertex == per_vertex
+    first_kept = next((v for v, sub in enumerate(per_vertex) if sub == report.chi), None)
+    assert (report.critical, report.witness) == (first_kept is None, first_kept)
+
+
+@pytest.mark.parametrize(
+    "text, nodes",
+    [
+        ("stable:n=6,k=2,s=2", 39),
+        ("stable:n=7,k=3,s=2", 17),
+        ("stable:n=8,k=2,s=3", 45),
+        ("stable:n=10,k=2,s=4", 61),
+    ],
+)
+def test_criticality_audit_nodes_are_pinned(text, nodes):
+    # a pruning change must update these totals on purpose; the report
+    # digests cannot see them, since criticality rows record no nodes
+    g = parse_family_spec(text).build()
+    is_chi_critical(g, SearchBudget(node_limit=nodes, time_limit=None))
+    with pytest.raises(BudgetExhausted):
+        is_chi_critical(g, SearchBudget(node_limit=nodes - 1, time_limit=None))
+
+
+def test_improper_colouring_is_refused(monkeypatch):
+    # a search that colours K2 with one colour is caught by the re-check,
+    # in the chromatic number and in a deletion of the audit alike
+    real = coloring._dsatur
+    faulty = lambda g, k, tick: (0,) * g.order if g.order == 2 else real(g, k, tick)
+    monkeypatch.setattr(coloring, "_dsatur", faulty)
+    with pytest.raises(RuntimeError):
+        chromatic_number(complete_graph(2))
+    assert chromatic_number(complete_graph(3)).chi == 3
+    with pytest.raises(RuntimeError):
+        is_chi_critical(complete_graph(3))
 
 
 def test_criticality_two_stable():

@@ -330,6 +330,16 @@ def test_cli_rejects_nonsense_budgets(monkeypatch, capsys):
         monkeypatch.delenv(BUDGET_ENV_VAR)
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("kneser-lab: error: ") == 3
+    # text that is not a number names where it came from
+    for text in ("x", "10,x"):
+        assert cli.main(["--budget", text, "chi", "stable:n=6,k=2,s=2"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("kneser-lab: error: --budget ")
+    monkeypatch.setenv(BUDGET_ENV_VAR, "abc")
+    assert cli.main(["chi", "stable:n=6,k=2,s=2"]) == 64
+    monkeypatch.delenv(BUDGET_ENV_VAR)
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"kneser-lab: error: {BUDGET_ENV_VAR} ")
     # a zero node limit is legal: the search stops at its first node
     assert SearchBudget.from_text("0,0") == SearchBudget(0, 0.0)
     assert cli.main(["--budget=0,", "chi", "stable:n=7,k=2,s=3"]) == 3
@@ -399,6 +409,9 @@ def test_cli_manifest_chi_must_match_closed_form(tmp_path, capsys, inst):
         "lower bound s not integers",
         "critical not a bool",
         "section not a container",
+        "manifest not JSON",
+        "probe range backwards",
+        "probe range not integers",
     ],
 )
 def test_cli_bad_paths_and_manifests_exit_64(tmp_path, capsys, case):
@@ -431,11 +444,23 @@ def test_cli_bad_paths_and_manifests_exit_64(tmp_path, capsys, case):
         "lower bound s not integers": ["verify", "chi", "--manifest", str(tmp_path / "str_s.json")],
         "critical not a bool": ["verify", "chi", "--manifest", str(tmp_path / "str_critical.json")],
         "section not a container": ["verify", "cores", "--manifest", str(tmp_path / "scalar_section.json")],
+        "manifest not JSON": ["verify", "chi", "--manifest", str(tmp_path / "notes.md")],
+        "probe range backwards": ["probe", "--n", "12:9"],
+        "probe range not integers": ["probe", "--n", "9:x"],
     }[case]
+    (tmp_path / "notes.md").write_text("# not a manifest\n")
     assert cli.main(argv) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("kneser-lab: error: ") and captured.err.count("\n") == 1
+    # the line names the flag or the path the input came from
+    named = {
+        "missing manifest": "missing.json",
+        "manifest not JSON": str(tmp_path / "notes.md"),
+        "probe range backwards": "--n '12:9'",
+        "probe range not integers": "--n '9:x'",
+    }
+    assert named.get(case, "") in captured.err
 
 
 def test_cli_probe(capsys):

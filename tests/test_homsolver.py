@@ -8,6 +8,7 @@ from helpers import (
     random_graph,
     strip_labels,
 )
+from kneser_lab import homsolver
 from kneser_lab.budget import SearchBudget
 from kneser_lab.coloring import chromatic_number
 from kneser_lab.dihedral import act_on_vertex, all_elements, orbit_leaders, rotation
@@ -155,6 +156,14 @@ def test_cores_small():
     out = is_core(cycle_graph(6))
     assert out.status == "not-core"
     assert len(out.witness.image()) < 6
+
+
+def test_not_core_witness_must_miss_a_vertex(monkeypatch):
+    # the identity is an endomorphism, but it proves nothing about cores
+    identity = lambda doms, enforce, clock: tuple(range(len(doms)))
+    monkeypatch.setattr(homsolver, "_run_search", identity)
+    with pytest.raises(RuntimeError):
+        is_core(cycle_graph(5))
 
 
 def test_core_retract_duality():
