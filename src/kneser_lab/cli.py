@@ -169,7 +169,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_probe(args) -> int:
     ranges = [_parse_range(f"--{name}", getattr(args, name)) for name in "nks"]
-    _report(args, harness.probe_conjectures, *ranges, square_order_cap=args.square_cap)
+    if not _report(args, harness.probe_conjectures, *ranges, square_order_cap=args.square_cap):
+        raise ValueError("--n/--k/--s select no graph: a probe needs k >= 2, s >= 2 and n > ks")
     return EXIT_OK
 
 

@@ -78,6 +78,26 @@ def brute_homomorphism_exists(g: Graph, h: Graph) -> bool:
     return extend(0)
 
 
+def reference_arc_consistency(g: Graph, h: Graph, doms) -> list[set[int]] | None:
+    """The largest arc-consistent domains inside `doms`, one set of target
+    vertices per vertex of g, or None once any of them is empty. A value a of
+    u survives while every neighbour of u keeps some value adjacent to a;
+    every edge of g is swept in both directions until a pass changes nothing."""
+    doms = [set(d) for d in doms]
+    changed = True
+    while changed:
+        if not all(doms):
+            return None
+        changed = False
+        for u, v in g.edges():
+            for x, y in ((u, v), (v, u)):
+                keep = {a for a in doms[x] if any(h.has_edge(a, b) for b in doms[y])}
+                if keep != doms[x]:
+                    doms[x] = keep
+                    changed = True
+    return doms
+
+
 def brute_retraction_exists(g: Graph, keep) -> bool:
     """Does g map onto its subgraph induced by `keep`, fixing every kept vertex?
     Naive backtracking over the other vertices in index order, checking edges

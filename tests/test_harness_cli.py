@@ -412,6 +412,9 @@ def test_cli_manifest_chi_must_match_closed_form(tmp_path, capsys, inst):
         "manifest not JSON",
         "probe range backwards",
         "probe range not integers",
+        "probe n at most ks",
+        "probe k below 2",
+        "probe s below 2",
     ],
 )
 def test_cli_bad_paths_and_manifests_exit_64(tmp_path, capsys, case):
@@ -447,6 +450,9 @@ def test_cli_bad_paths_and_manifests_exit_64(tmp_path, capsys, case):
         "manifest not JSON": ["verify", "chi", "--manifest", str(tmp_path / "notes.md")],
         "probe range backwards": ["probe", "--n", "12:9"],
         "probe range not integers": ["probe", "--n", "9:x"],
+        "probe n at most ks": ["probe", "--n", "3", "--k", "2", "--s", "3"],
+        "probe k below 2": ["probe", "--n", "9", "--k", "0", "--s", "3"],
+        "probe s below 2": ["probe", "--n", "9", "--k", "2", "--s", "0"],
     }[case]
     (tmp_path / "notes.md").write_text("# not a manifest\n")
     assert cli.main(argv) == 64
@@ -459,6 +465,9 @@ def test_cli_bad_paths_and_manifests_exit_64(tmp_path, capsys, case):
         "manifest not JSON": str(tmp_path / "notes.md"),
         "probe range backwards": "--n '12:9'",
         "probe range not integers": "--n '9:x'",
+        "probe n at most ks": "--n/--k/--s",
+        "probe k below 2": "--n/--k/--s",
+        "probe s below 2": "--n/--k/--s",
     }
     assert named.get(case, "") in captured.err
 

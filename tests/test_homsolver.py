@@ -1,4 +1,6 @@
 import random
+from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -6,6 +8,7 @@ from helpers import (
     brute_homomorphism_exists,
     brute_retraction_exists,
     random_graph,
+    reference_arc_consistency,
     strip_labels,
 )
 from kneser_lab import homsolver
@@ -17,6 +20,7 @@ from kneser_lab.families import (
     circulant,
     circular_graph,
     kneser,
+    parse_family_spec,
     prop_iso_map,
     stable_kneser,
 )
@@ -26,6 +30,7 @@ from kneser_lab.graphs import (
     cycle_graph,
     delete_vertex,
     induced_subgraph,
+    iter_bits,
     make_graph,
 )
 from kneser_lab.homsolver import (
@@ -305,6 +310,86 @@ def test_stripped_target_search_trees_are_pinned(source, target, status, nodes):
     # of the unreduced reference search before it took this form
     outcome = find_homomorphism(source(), strip_labels(target()))
     assert (outcome.status, outcome.nodes) == (status, nodes)
+
+
+def _ac_corpus():
+    """(g, h, start domains) on targets whose order sits on either side of a
+    byte boundary: full, "full minus v", one-singleton and random domains."""
+    rng = random.Random(1718)
+    for order in (0, 1, 7, 8, 9, 17):
+        for p in (0.3, 0.6, 0.9):
+            h = random_graph(rng, order, p)
+            g = random_graph(rng, rng.randrange(7), rng.choice((0.3, 0.6)))
+            full = (1 << order) - 1
+            starts = [[full] * g.order]
+            starts += [[full & ~(1 << v)] * g.order for v in range(order)]
+            for _ in range(4 if order and g.order else 0):
+                single = [full] * g.order
+                single[rng.randrange(g.order)] = 1 << rng.randrange(order)
+                starts.append(single)
+                starts.append([rng.randrange(1, full + 1) for _ in range(g.order)])
+            yield g, h, starts
+
+
+def _as_sets(doms):
+    return [set(iter_bits(d)) for d in doms]
+
+
+@pytest.mark.parametrize("cap", [None, 3], ids=["default-cap", "cap-3"])
+def test_arc_consistency_reaches_the_reference_fixpoint(monkeypatch, cap):
+    # from every start domain with all vertices changed, and from the search's
+    # step (one vertex of a fixpoint narrowed to a singleton, only it changed),
+    # enforce must stop at the reference fixpoint or wipe out where it does
+    if cap is not None:
+        monkeypatch.setattr(homsolver, "_SUPPORT_MEMO_CAP", cap)
+    memo_sizes = []
+    for g, h, starts in _ac_corpus():
+        enforce = homsolver._arc_consistency(g, h)
+        runs = [(start, range(g.order)) for start in starts]
+        while runs:
+            start, seeds = runs.pop()
+            doms = list(start)
+            survived = enforce(doms, seeds) and all(doms)
+            expected = reference_arc_consistency(g, h, _as_sets(start))
+            assert (_as_sets(doms) if survived else None) == expected
+            if survived and len(seeds) > 1:
+                for u in range(g.order):
+                    for a in iter_bits(doms[u]):
+                        runs.append((doms[:u] + [1 << a] + doms[u + 1 :], (u,)))
+        (memo,) = [c.cell_contents for c in enforce.__closure__ if isinstance(c.cell_contents, dict)]
+        memo_sizes.append(len(memo))
+    if cap is not None:
+        # the memo filled up, so the later supports came from the table
+        assert max(memo_sizes) == cap
+
+
+def _hom_refute_calls():
+    """The exhaustive refutations of the hom-refute benchmark workload: four
+    squares (the last at its 2,000-node cap) and four core tests."""
+    calls = []
+    for n, k, s, cap in ((6, 2, 2, None), (7, 2, 2, None), (8, 2, 3, None), (9, 2, 3, 2_000)):
+        g = stable_kneser(n, k, s)
+        calls.append(partial(find_homomorphism, _square(g), g, SearchBudget(cap, None)))
+    for spec in ("stable:n=7,k=2,s=2", "stable:n=8,k=2,s=3", "kneser:n=6,k=2", "circular:n=13,k=4"):
+        calls.append(partial(is_core, parse_family_spec(spec).build(), SearchBudget(None, None)))
+    return calls
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_support_memo_does_not_change_searches(monkeypatch, cap):
+    rng = random.Random(20)
+    calls = _hom_refute_calls()
+    for _ in range(20):
+        g = random_graph(rng, rng.randrange(3, 10), 0.5)
+        h = random_graph(rng, rng.randrange(2, 13), 0.5)
+        calls += [partial(find_homomorphism, g, h), partial(is_core, g)]
+
+    def outcomes():
+        return [replace(call(), seconds=0.0) for call in calls]
+
+    default = outcomes()
+    monkeypatch.setattr(homsolver, "_SUPPORT_MEMO_CAP", cap)
+    assert outcomes() == default
 
 
 def test_certificate_round_trip():
