@@ -105,7 +105,10 @@ def _cmd_chi(args) -> int:
 
 
 def _print_outcome(status: str, hom, g: Graph, h: Graph, nodes: int, seconds: float) -> int:
-    """Print a search's status and, when it found a map g -> h, its certificate."""
+    """Print a search's status and, when it found a map g -> h, its certificate;
+    an exhausted search raises BudgetExhausted, which `main` reports."""
+    if status == "exhausted":
+        raise BudgetExhausted(nodes, seconds)
     print(status)
     if hom is not None:
         cert = homsolver.certificate(
@@ -113,7 +116,7 @@ def _print_outcome(status: str, hom, g: Graph, h: Graph, nodes: int, seconds: fl
             nodes=nodes, seconds=seconds,
         )
         print(homsolver.certificate_dumps(cert))
-    return EXIT_EXHAUSTED if status == "exhausted" else EXIT_OK
+    return EXIT_OK
 
 
 def _cmd_core(args) -> int:
@@ -168,6 +171,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    if args.square_cap < 0:
+        raise ValueError(f"--square-cap {args.square_cap} is negative; 0 searches no square")
     ranges = [_parse_range(f"--{name}", getattr(args, name)) for name in "nks"]
     if not _report(args, harness.probe_conjectures, *ranges, square_order_cap=args.square_cap):
         raise ValueError("--n/--k/--s select no graph: a probe needs k >= 2, s >= 2 and n > ks")

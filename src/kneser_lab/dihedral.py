@@ -29,7 +29,11 @@ from functools import partial
 
 from .graphs import Graph, GraphError, label_automorphism
 from .labels import CyclicElem, KSubset
-from .modn import mod1
+
+
+def mod1(x: int, n: int) -> int:
+    """Reduce x to its representative in [n] = {1, ..., n}, n standing for 0."""
+    return (x - 1) % n + 1
 
 
 @dataclass(frozen=True)

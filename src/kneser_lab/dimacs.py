@@ -2,15 +2,78 @@
 
 Header "p edge <order> <edges>", edge lines "e <u> <v>" with 1-based
 endpoints, comments starting with "c". Vertex labels ride along in
-comment lines of the form "c label <v> <text>".
+comment lines of the form "c label <v> <text>": "{1,3}@6" for a KSubset,
+"z2@7" for a CyclicElem, "r3@8" for a dihedral element, "(a,b)" for a pair
+and the digits of a bare int.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
+from .dihedral import DihedralElement, parse_element
 from .graphs import Graph, GraphError, make_graph
-from .labels import format_label, parse_label
+from .labels import CyclicElem, KSubset
+
+
+def format_label(label) -> str:
+    """Canonical text form of a vertex label."""
+    if isinstance(label, tuple):
+        a, b = label
+        return f"({format_label(a)},{format_label(b)})"
+    if isinstance(label, (KSubset, CyclicElem, int)):
+        return str(label)
+    if isinstance(label, DihedralElement):
+        # elements print as e.g. "r3"; append the ambient for parseability
+        return f"{label}@{label.n}"
+    raise TypeError(f"unsupported label type {type(label).__name__}")
+
+
+_SPACE = re.compile(r"\s*")
+# a k-subset "{1,3}@6" or any other text up to the next bracket or comma
+_LEAF = re.compile(r"\{[^{}]*\}[^(){},]*|[^(){},]*")
+
+
+def _expect(text: str, i: int, token: str) -> int:
+    """The index just past `token`, which must come next after blanks."""
+    i = _SPACE.match(text, i).end()
+    if not text.startswith(token, i):
+        raise ValueError(f"malformed pair label: {text}")
+    return i + 1
+
+
+def _parse_from(text: str, i: int):
+    """The label whose text starts at text[i], and the index just past it."""
+    i = _SPACE.match(text, i).end()
+    if text.startswith("(", i):
+        first, i = _parse_from(text, i + 1)
+        second, i = _parse_from(text, _expect(text, i, ","))
+        return (first, second), _expect(text, i, ")")
+    end = _LEAF.match(text, i).end()
+    return _parse_leaf(text[i:end].strip()), end
+
+
+def _parse_leaf(text: str):
+    if text.startswith("{"):
+        body, _, amb = text.partition("@")
+        els = tuple(int(t) for t in body.strip("{}").split(","))
+        return KSubset(els, int(amb))
+    if text[:1] == "z" and "@" in text:
+        val, _, mod = text[1:].partition("@")
+        return CyclicElem(int(val), int(mod))
+    if text[:1] in ("r", "p", "d") and "@" in text:
+        head, _, amb = text.partition("@")
+        return parse_element(head, int(amb))
+    return int(text)
+
+
+def parse_label(text: str):
+    """Inverse of format_label, in one pass over the text."""
+    label, end = _parse_from(text, 0)
+    if _SPACE.match(text, end).end() != len(text):
+        raise ValueError(f"malformed label: {text}")
+    return label
 
 
 def dimacs_dumps(g: Graph) -> str:

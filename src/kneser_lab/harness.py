@@ -19,6 +19,7 @@ from . import coloring, dihedral, homsolver
 from .budget import BudgetExhausted, SearchBudget, resolve_budget
 from .claims import CLAIMS
 from .cliques import independence_number
+from .dihedral import mod1
 from .families import (
     cayley_dihedral,
     circular_graph,
@@ -36,7 +37,6 @@ from .graphs import (
 )
 from .isomorphism import are_isomorphic, verify_isomorphism
 from .labels import KSubset
-from .modn import mod1
 
 
 @dataclass
@@ -60,17 +60,17 @@ def _row(claim_id, params, expected, check) -> VerificationReport:
 
     This is the only place a suite turns solver results into a status: a
     raised BudgetExhausted or a returned "exhausted" status becomes an
-    exhausted row, otherwise the row passes only when computed == expected.
+    exhausted row with computed None, otherwise the row passes only when
+    computed == expected.
     """
     info = CLAIMS[claim_id]
     t0 = time.monotonic()
     try:
         computed, evidence = check()
-        exhausted = computed == "exhausted"
     except BudgetExhausted as stop:
-        computed, evidence, exhausted = None, {"nodes": stop.nodes}, True
-    if exhausted:
-        status = "exhausted"
+        computed, evidence = "exhausted", {"nodes": stop.nodes}
+    if computed == "exhausted":
+        computed, status = None, "exhausted"
     else:
         status = "pass" if computed == expected else "fail"
     return VerificationReport(

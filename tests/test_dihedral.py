@@ -17,6 +17,7 @@ from kneser_lab.dihedral import (
     inverse,
     is_shift,
     label_group,
+    mod1,
     non_shift_witness,
     orbit_leaders,
     parse_element,
@@ -25,6 +26,7 @@ from kneser_lab.dihedral import (
     rho,
     rotation,
 )
+from kneser_lab.dimacs import format_label, parse_label
 from kneser_lab.families import (
     cayley_dihedral,
     circulant,
@@ -34,8 +36,7 @@ from kneser_lab.families import (
 )
 from kneser_lab.graphs import GraphError, cycle_graph, induced_subgraph, label_automorphism
 from kneser_lab.harness import load_manifest
-from kneser_lab.labels import CyclicElem, KSubset, format_label, parse_label
-from kneser_lab.modn import mod1
+from kneser_lab.labels import CyclicElem, KSubset
 
 
 def _texts(elements):

@@ -307,9 +307,31 @@ def test_cli_shifts_requires_stable(capsys):
     assert cli.main(["shifts", "kneser:n=5,k=2"]) == 64
 
 
-def test_cli_budget_exhaustion_exit(capsys):
-    assert cli.main(["--budget", "1,", "chi", "stable:n=8,k=2,s=3"]) == 3
-    assert "exhausted" in capsys.readouterr().out
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chi", "stable:n=8,k=2,s=3"],
+        ["iso", "stable:n=8,k=2,s=3", "stable:n=8,k=2,s=3"],
+        ["core", "stable:n=8,k=2,s=3"],
+        ["hom", "stable:n=8,k=2,s=3", "stable:n=8,k=2,s=3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_budget_exhaustion_exit(argv, capsys):
+    # every search verb reports exhaustion in the same one line
+    assert cli.main(["--budget", "1,", *argv]) == 3
+    assert capsys.readouterr().out == "exhausted after 2 nodes\n"
+
+
+def test_exhausted_rows_have_no_computed_value(tmp_path):
+    out = tmp_path / "report.json"
+    assert cli.main(["--budget", "0", "verify", "all", "--json", str(out)]) == 3
+    rows = [r for r in json.loads(out.read_text())["reports"] if r["status"] == "exhausted"]
+    # rows of solvers that raise and of solvers that return an "exhausted" status
+    assert {"chi-exact", "core-status", "homidem-negative-search"} <= {r["claim_id"] for r in rows}
+    for r in rows:
+        assert r["computed"] is None
+        assert type(r["evidence"]["nodes"]) is int
 
 
 @pytest.mark.parametrize("n", [999, 1201])
@@ -415,6 +437,7 @@ def test_cli_manifest_chi_must_match_closed_form(tmp_path, capsys, inst):
         "probe n at most ks",
         "probe k below 2",
         "probe s below 2",
+        "probe square cap negative",
     ],
 )
 def test_cli_bad_paths_and_manifests_exit_64(tmp_path, capsys, case):
@@ -453,6 +476,7 @@ def test_cli_bad_paths_and_manifests_exit_64(tmp_path, capsys, case):
         "probe n at most ks": ["probe", "--n", "3", "--k", "2", "--s", "3"],
         "probe k below 2": ["probe", "--n", "9", "--k", "0", "--s", "3"],
         "probe s below 2": ["probe", "--n", "9", "--k", "2", "--s", "0"],
+        "probe square cap negative": ["probe", "--n", "9", "--square-cap", "-1"],
     }[case]
     (tmp_path / "notes.md").write_text("# not a manifest\n")
     assert cli.main(argv) == 64
@@ -468,6 +492,7 @@ def test_cli_bad_paths_and_manifests_exit_64(tmp_path, capsys, case):
         "probe n at most ks": "--n/--k/--s",
         "probe k below 2": "--n/--k/--s",
         "probe s below 2": "--n/--k/--s",
+        "probe square cap negative": "--square-cap",
     }
     assert named.get(case, "") in captured.err
 

@@ -2,10 +2,10 @@ import pytest
 
 from kneser_lab import cli
 from kneser_lab.dihedral import delta, rho, rotation
-from kneser_lab.dimacs import dimacs_dumps, dimacs_loads, read_dimacs
+from kneser_lab.dimacs import dimacs_dumps, dimacs_loads, format_label, parse_label, read_dimacs
 from kneser_lab.families import kneser, stable_kneser
 from kneser_lab.graphs import GraphError, cycle_graph, make_graph
-from kneser_lab.labels import CyclicElem, KSubset, format_label, parse_label
+from kneser_lab.labels import CyclicElem, KSubset
 
 
 def test_ksubset_validation():
