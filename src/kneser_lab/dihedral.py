@@ -17,9 +17,9 @@ The module also detects and predicts the shifts of stable Kneser graphs,
 i.e. the automorphisms that move every vertex onto one of its neighbors.
 `label_group` is the one table of the symmetries labels declare: it verifies
 r1 and p1 (or +1 on residues) once per graph and multiplies them out into
-every element's vertex permutation; shifts are read from it. `orbit_leaders`
-reads the orbits off the same verified generators; each public solver calls
-it once and hands the leaders to its searches, which solve one per orbit.
+every element's vertex permutation; shifts are read from it. `label_orbits`
+reads orbits and stabilisers off the cycles of the same verified r1; each
+public solver calls it once and hands them to its searches.
 """
 
 from __future__ import annotations
@@ -192,27 +192,41 @@ def label_group(g: Graph) -> dict[DihedralElement, tuple[int, ...]] | None:
     return group
 
 
-def orbit_leaders(g: Graph) -> list[int]:
-    """The least vertex of each vertex's orbit under `label_group(g)`; every
-    vertex leads its own orbit when g declares no verified group.
+def label_orbits(g: Graph):
+    """(each vertex's least orbit-mate under `label_group(g)`, a map from v to
+    the group members fixing v) from one check of the generators, or None.
 
-    Orbits are the components of the graph joining v to p[v] for each
-    verified generator p, so each is reached from its least vertex in one pass."""
+    The group is the powers r^i of r = r1 (+1 on residues), alone or after p1,
+    which maps r-cycles onto r-cycles: v's orbit is its r-cycle, of length m,
+    and that cycle's image. r^i fixes v when m divides i, and r^i after p1
+    when r^i moves p1(v) to v. Powers are read off the cycles in one pass."""
     verified = _label_generators(g)
-    gens = verified[1] if verified else ()
-    leader = [-1] * g.order
+    if verified is None:
+        return None
+    n, (r, *flips) = verified
+    cycle, place = [None] * g.order, [0] * g.order
     for v in range(g.order):
-        if leader[v] < 0:
-            leader[v] = v
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                for perm in gens:
-                    w = perm[u]
-                    if leader[w] < 0:
-                        leader[w] = v
-                        stack.append(w)
-    return leader
+        if cycle[v] is None:  # ascending v: each cycle starts at its least vertex
+            c = [v]
+            while r[c[-1]] != v:
+                c.append(r[c[-1]])
+            for i, x in enumerate(c):
+                cycle[x], place[x] = c, i
+
+    def power(i: int, perm) -> tuple[int, ...]:  # r^i after perm
+        return tuple(cycle[x][(place[x] + i) % len(cycle[x])] for x in perm)
+
+    def fixing(v: int) -> list[tuple[int, ...]]:
+        m, firsts = len(cycle[v]), [(0, range(g.order))]
+        firsts += [((place[v] - place[p[v]]) % m, p) for p in flips if cycle[p[v]] is cycle[v]]
+        return [power(i, perm) for first, perm in firsts for i in range(first, n, m)]
+
+    return [min([cycle[v][0]] + [cycle[p[v]][0] for p in flips]) for v in range(g.order)], fixing
+
+
+def orbit_leaders(g: Graph) -> list[int]:
+    """The `label_orbits` leaders; without a verified group each vertex leads."""
+    return (label_orbits(g) or (list(range(g.order)),))[0]
 
 
 def is_shift(e: DihedralElement, g: Graph) -> tuple[bool, int | None]:

@@ -5,9 +5,9 @@ bitsets, on the clock of the public call; a propagator narrows the domains at
 every node. Homomorphism and core searches share arc consistency and differ
 only in their start domains: a changed domain of v cuts each neighbour of v
 to the union of the target neighbourhoods of v's candidates. Each public
-call verifies a label symmetry once, with `orbit_leaders`: the homomorphism
-search limits its root to the target's orbit leaders, and the core test bans
-one vertex per orbit of g's own group.
+call verifies the target's label symmetry once, with `label_orbits`; the
+search breaks it at every node, and the core test bans one vertex v per
+orbit and searches under v's stabiliser.
 A negative answer only follows a completed search; every positive answer and
 loaded certificate passes the map checker `graphs.verify_homomorphism`, and a
 "not-core" endomorphism is checked to miss a vertex.
@@ -18,9 +18,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import reduce
 
 from .budget import BudgetClock, BudgetExhausted, SearchBudget, resolve_budget
-from .dihedral import orbit_leaders
+from .dihedral import label_orbits
 from .graphs import Graph, complete_graph, iter_bits, verify_homomorphism
 
 
@@ -56,16 +57,12 @@ def _arc_consistency(g: Graph, h: Graph):
     The support of a domain, the union of the target neighbourhoods of its
     candidates, is a function of the domain alone, so the first
     `_SUPPORT_MEMO_CAP` supports computed are kept for every later call. A miss
-    ORs one table row per byte of the domain: `table[i][byte]` is the union of
-    the rows of target vertices 8i + b over the bits b of byte.
+    ORs one table row per byte of the domain: `table[i][byte]`, filled when
+    first read, is the union of the rows of target vertices 8i + b over the
+    bits b of byte.
     """
     nbrs = [list(iter_bits(g.adj[u])) for u in range(g.order)]
-    table = []
-    for i in range(0, h.order, 8):
-        row = [0]
-        for mask in h.adj[i : i + 8]:
-            row += [r | mask for r in row]
-        table.append(row)
+    table = [[None] * 256 for _ in range(0, h.order, 8)]
     nbytes = len(table)
     memo = {}
 
@@ -78,9 +75,13 @@ def _arc_consistency(g: Graph, h: Graph):
             support = memo.get(d)
             if support is None:
                 support = 0
-                for row, byte in zip(table, d.to_bytes(nbytes, "little")):
+                for i, byte in enumerate(d.to_bytes(nbytes, "little")):
                     if byte:
-                        support |= row[byte]
+                        union = table[i][byte]
+                        if union is None:
+                            rows = (h.adj[8 * i + b] for b in range(8) if byte >> b & 1)
+                            union = table[i][byte] = reduce(int.__or__, rows)
+                        support |= union
                 if len(memo) < _SUPPORT_MEMO_CAP:
                     memo[d] = support
             for w in nbrs[v]:
@@ -95,9 +96,23 @@ def _arc_consistency(g: Graph, h: Graph):
     return enforce
 
 
-def _run_search(doms: list[int], enforce, clock: BudgetClock):
+def _symmetry(perms, values):
+    """(the bitset of `values` least in their orbit under the group `perms`,
+    a map from c to the members fixing c), or None for the identity alone."""
+    if len(perms) > 1:
+        least = sum(1 << c for c in values if all(p[c] >= c for p in perms))
+        return least, lambda c: [p for p in perms if p[c] == c]
+
+
+def _run_search(doms: list[int], enforce, clock: BudgetClock, sym):
     """Return the tuple of values of a solution within doms, or None after a
-    completed search. doms is consumed; `enforce` propagates every node."""
+    completed search. doms is consumed; `enforce` propagates every node.
+
+    `sym` is None or, from `_symmetry`, a group of target permutations mapping
+    doms onto themselves. A node tries only the candidates least in their orbit
+    under the members fixing every decision above it (the GE-tree of
+    Roney-Dougal et al., ECAI 2004): arc consistency commutes with those, so
+    the tree is the plain one with subtrees cut that hold no new solution."""
     n = len(doms)
     if any(d == 0 for d in doms) or not enforce(doms, range(n)):
         return None
@@ -118,10 +133,10 @@ def _run_search(doms: list[int], enforce, clock: BudgetClock):
     if best < 0:
         return tuple(d.bit_length() - 1 for d in doms)
     # depth first on an explicit stack of (domains, branching vertex, untried
-    # candidate bits), so the search depth is not bounded by the recursion limit
-    stack = [(doms, best, doms[best])]
+    # candidate bits, symmetry), so the recursion limit bounds no depth
+    stack = [(doms, best, doms[best] & sym[0] if sym else doms[best], sym)]
     while stack:
-        doms, best, untried = stack.pop()
+        doms, best, untried, sym = stack.pop()
         while untried:
             low = untried & -untried
             untried ^= low
@@ -134,15 +149,16 @@ def _run_search(doms: list[int], enforce, clock: BudgetClock):
             if nxt < 0:
                 return tuple(d.bit_length() - 1 for d in child)
             if untried:
-                stack.append((doms, best, untried))
-            doms, best, untried = child, nxt, child[nxt]
+                stack.append((doms, best, untried, sym))
+            sym = sym and _symmetry(sym[1](low.bit_length() - 1), iter_bits(child[nxt]))
+            doms, best, untried = child, nxt, child[nxt] & sym[0] if sym else child[nxt]
     return None
 
 
-def _solve(g: Graph, h: Graph, doms: list[int], enforce, clock: BudgetClock) -> SolveOutcome:
-    """Search g -> h within `doms` on `clock`; nodes are the clock's total."""
+def _solve(g: Graph, h: Graph, doms: list[int], enforce, clock: BudgetClock, sym) -> SolveOutcome:
+    """Search g -> h within `doms` under `sym` on `clock`; nodes: clock total."""
     try:
-        mapping = _run_search(doms, enforce, clock)
+        mapping = _run_search(doms, enforce, clock, sym)
     except BudgetExhausted:
         return SolveOutcome("exhausted", None, clock.nodes, clock.elapsed())
     if mapping is None:
@@ -155,16 +171,14 @@ def _solve(g: Graph, h: Graph, doms: list[int], enforce, clock: BudgetClock) -> 
 def find_homomorphism(g: Graph, h: Graph, budget: SearchBudget | None = None) -> SolveOutcome:
     """Decide whether an edge-preserving map g -> h exists.
 
-    If f maps the root to sigma(w) for sigma in `label_group(h)`, sigma^-1
-    after f maps it to w, so the root only takes the leaders of
-    `orbit_leaders(h)`; a copy of h without labels gives the plain search.
+    The full domains are invariant under `label_group(h)`, so the search
+    breaks that group from its first node on, where it tries only the orbit
+    leaders of h; a copy of h without labels gives the plain search.
     """
     clock = resolve_budget(budget).start()
-    doms = [(1 << h.order) - 1] * g.order
-    if g.order:
-        root = max(range(g.order), key=lambda u: (g.degree(u), -u))
-        doms[root] = sum(1 << w for w, lead in enumerate(orbit_leaders(h)) if lead == w)
-    return _solve(g, h, doms, _arc_consistency(g, h), clock)
+    orbits = label_orbits(h)
+    sym = orbits and (sum(1 << w for w, lead in enumerate(orbits[0]) if lead == w), orbits[1])
+    return _solve(g, h, [(1 << h.order) - 1] * g.order, _arc_consistency(g, h), clock, sym)
 
 
 @dataclass(frozen=True)
@@ -181,15 +195,17 @@ def is_core(g: Graph, budget: SearchBudget | None = None) -> CoreOutcome:
     g fails to be a core exactly when some endomorphism misses a vertex. If
     f misses sigma(v) for sigma in `label_group(g)`, then sigma^-1 after f
     misses v, so only the least vertex of each orbit is banned, in turn and
-    all searches on one clock.
+    all searches on one clock, each under the stabiliser of v.
     """
     clock = resolve_budget(budget).start()
     full = (1 << g.order) - 1
     enforce = _arc_consistency(g, g)
-    for v, lead in enumerate(orbit_leaders(g)):
+    leader, fixing = label_orbits(g) or (range(g.order), lambda v: ())
+    for v, lead in enumerate(leader):
         if lead < v:
             continue
-        outcome = _solve(g, g, [full & ~(1 << v)] * g.order, enforce, clock)
+        sym = _symmetry(fixing(v), range(g.order))
+        outcome = _solve(g, g, [full & ~(1 << v)] * g.order, enforce, clock, sym)
         if outcome.found and len(outcome.homomorphism.image()) == g.order:
             raise RuntimeError("core search produced an endomorphism that misses no vertex")
         if outcome.status != "none":

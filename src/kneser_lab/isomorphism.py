@@ -98,7 +98,7 @@ def are_isomorphic(g: Graph, h: Graph, budget: SearchBudget | None = None):
     if sorted(cg) != sorted(ch):
         return None
     doms = [sum(1 << w for w in range(n) if ch[w] == cg[u]) for u in range(n)]
-    result = _run_search(doms, _forward_checking(g, h), clock)
+    result = _run_search(doms, _forward_checking(g, h), clock, None)
     if result is not None and not verify_isomorphism(g, h, result):
         raise RuntimeError("isomorphism search produced a map the checker rejects")
     return result

@@ -17,6 +17,7 @@ from kneser_lab.dihedral import (
     inverse,
     is_shift,
     label_group,
+    label_orbits,
     mod1,
     non_shift_witness,
     orbit_leaders,
@@ -315,6 +316,18 @@ def test_orbit_leaders_are_the_least_image_under_the_whole_group():
     # no verified group: every vertex leads its own orbit
     for g in (cycle_graph(6), induced_subgraph(stable_kneser(8, 2, 3), range(5))):
         assert orbit_leaders(g) == list(range(g.order))
+
+
+def test_label_orbits_stabilisers_are_the_group_members_fixing_a_vertex():
+    # read off the cycles of r1, with multiplicity, against the multiplied-out
+    # table; pairs fixed by a reflexion have stabilisers of order 2 or more
+    for g in _labelled_graphs():
+        perms = list(label_group(g).values())
+        leader, fixing = label_orbits(g)
+        assert leader == orbit_leaders(g)
+        for v in range(g.order):
+            assert sorted(fixing(v)) == sorted(p for p in perms if p[v] == v)
+    assert label_orbits(cycle_graph(6)) is None
 
 
 def test_enumerate_shifts_matches_circulant_and_cayley_oracles():

@@ -1,18 +1,28 @@
-"""The orbit-reduced composite searches against the unreduced ones.
+"""The orbit-reduced searches against the unreduced ones.
 
 The clique root, the criticality audit and the core test search one vertex
-per orbit of `dihedral.label_group`. A copy of the graph without labels
+per orbit of `dihedral.label_group`, and the homomorphism and core searches
+break the target's group at every node. A copy of the graph without labels
 declares no group, so it runs the plain search; both must give the same
-answers and witnesses.
+answers and witnesses, and agree with the brute-force oracles of `helpers`.
 """
 
 import random
+from functools import partial
 from itertools import combinations
 
 import pytest
 
-from helpers import is_clique, is_independent_set, strip_labels
+from helpers import (
+    brute_homomorphism_exists,
+    brute_retraction_exists,
+    is_clique,
+    is_independent_set,
+    random_graph,
+    strip_labels,
+)
 from kneser_lab import dihedral
+from kneser_lab.budget import SearchBudget
 from kneser_lab.cliques import clique_number, independence_number
 from kneser_lab.coloring import chromatic_number, is_chi_critical
 from kneser_lab.dihedral import (
@@ -23,9 +33,17 @@ from kneser_lab.dihedral import (
     orbit_leaders,
 )
 from kneser_lab.families import cayley_dihedral, parse_family_spec, stable_kneser
-from kneser_lab.graphs import Graph, induced_subgraph, make_graph
+from kneser_lab.graphs import (
+    Graph,
+    cartesian_product,
+    complete_graph,
+    cycle_graph,
+    induced_subgraph,
+    make_graph,
+    verify_homomorphism,
+)
 from kneser_lab.harness import load_manifest, stable_pair_sets
-from kneser_lab.homsolver import is_core
+from kneser_lab.homsolver import find_homomorphism, is_core
 from kneser_lab.labels import KSubset
 
 
@@ -149,12 +167,54 @@ def test_criticality_report_matches_the_plain_audit(name):
     assert is_chi_critical(g) == is_chi_critical(strip_labels(g))
 
 
+def _sources(name: str, h: Graph):
+    """Seeded sources for searches into h: K3, K4, C5, C7, three random
+    graphs on 5 to 8 vertices, and h's square while h has at most 10
+    vertices."""
+    rng = random.Random(name)
+    sources = [complete_graph(3), complete_graph(4), cycle_graph(5), cycle_graph(7)]
+    sources += [random_graph(rng, rng.randint(5, 8), rng.choice((0.3, 0.5))) for _ in range(3)]
+    if h.order <= 10:
+        sources.append(cartesian_product(h, h))
+    return sources
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_homomorphisms_match_the_plain_search_and_the_brute_oracle(name):
+    # the reduced tree is the plain one with subtrees cut, and it meets the
+    # plain search's first solution: same answer and map, never more nodes
+    h = CORPUS[name]
+    for g in _sources(name, h):
+        reduced, plain = find_homomorphism(g, h), find_homomorphism(g, strip_labels(h))
+        assert (reduced.status, reduced.homomorphism) == (plain.status, plain.homomorphism)
+        assert reduced.nodes <= plain.nodes
+        assert not reduced.found or verify_homomorphism(g, h, reduced.homomorphism.mapping)
+        if g.order <= 7:
+            assert reduced.found == brute_homomorphism_exists(g, h)
+
+
+def _stable_image(mapping) -> set[int]:
+    """The image of the first power of an endomorphism that is idempotent,
+    onto which that power retracts."""
+    power = list(mapping)
+    while any(power[x] != power[power[x]] for x in range(len(power))):
+        power = [mapping[y] for y in power]
+    return set(power)
+
+
 @pytest.mark.parametrize("name", CORE_CORPUS)
 def test_core_status_and_witness_match_the_plain_search(name):
     g = CORPUS[name]
     reduced, plain = is_core(g), is_core(strip_labels(g))
     assert (reduced.status, reduced.witness) == (plain.status, plain.witness)
     assert reduced.nodes <= plain.nodes
+    # a core retracts onto no g - v; a non-core onto a witness's stable image
+    if reduced.witness is None:
+        assert reduced.status == "core"
+        assert not any(brute_retraction_exists(g, set(range(g.order)) - {v}) for v in range(g.order))
+    else:
+        image = _stable_image(reduced.witness.mapping)
+        assert len(image) < g.order and brute_retraction_exists(g, image)
 
 
 @pytest.mark.parametrize("text", ["stable:n=8,k=2,s=3", "kneser:n=5,k=2", "circular:n=9,k=2"])
@@ -173,19 +233,32 @@ def test_symmetry_that_fails_verification_gives_the_unreduced_search(text):
         plain_core.witness,
         plain_core.nodes,
     )
+    for source in (cartesian_product(g, g), g, cycle_graph(5), complete_graph(3)):
+        hom, plain_hom = find_homomorphism(source, bad), find_homomorphism(source, plain)
+        assert (hom.status, hom.homomorphism, hom.nodes) == (
+            plain_hom.status,
+            plain_hom.homomorphism,
+            plain_hom.nodes,
+        )
 
 
 @pytest.mark.parametrize("n", [9, 10])
 def test_each_solver_call_verifies_the_generators_once(monkeypatch, n):
     # r1 and p1 of the graph the solver was given, and nothing else: not a
-    # second time for the clique bound, not on the complement, not on g - v
+    # second time for the clique bound, not on the complement, not on g - v,
+    # not for the orbit leaders beside the stabilisers, not on the labelled
+    # source of a homomorphism search
     g = stable_kneser(n, 2, 2)
+    source = stable_kneser(n, 2, 3)
     checked = []
     check = dihedral.label_automorphism
     monkeypatch.setattr(
         dihedral, "label_automorphism", lambda h, act: checked.append(h) or check(h, act)
     )
-    for solve in (is_chi_critical, chromatic_number, clique_number, independence_number):
+    # the symmetry is read before the first node, so a small budget suffices
+    capped = SearchBudget(1_000, None)
+    solvers = [is_chi_critical, chromatic_number, clique_number, independence_number]
+    for solve in solvers + [partial(is_core, budget=capped), partial(find_homomorphism, source)]:
         checked.clear()
         solve(g)
-        assert len(checked) == 2 and all(h is g for h in checked), solve.__name__
+        assert len(checked) == 2 and all(h is g for h in checked), solve
