@@ -151,8 +151,9 @@ def is_chi_critical(g: Graph, budget: SearchBudget | None = None) -> Criticality
     g - v is a subgraph of g, and a colouring of g - v extends to g with one
     fresh colour, so chi - 1 <= chi(g - v) <= chi: one (chi - 1)-colouring
     decision settles each deletion. g - v and g - sigma(v) are isomorphic for
-    sigma in `label_group(g)`, so only the least vertex of each orbit is
-    decided and the others copy it. All searches share one clock and budget.
+    sigma in the group `label_orbits(g)` verifies, so only the least vertex
+    of each orbit is decided and the others copy it. All searches share one
+    clock and budget.
     """
     clock = resolve_budget(budget).start()
     leader = orbit_leaders(g)

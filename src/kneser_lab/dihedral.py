@@ -15,11 +15,11 @@ check the index range, and leave through `kind`, `index` and `str()`.
 
 The module also detects and predicts the shifts of stable Kneser graphs,
 i.e. the automorphisms that move every vertex onto one of its neighbors.
-`label_group` is the one table of the symmetries labels declare: it verifies
-r1 and p1 (or +1 on residues) once per graph and multiplies them out into
-every element's vertex permutation; shifts are read from it. `label_orbits`
-reads orbits and stabilisers off the cycles of the same verified r1; each
-public solver calls it once and hands them to its searches.
+`label_orbits` is the one reader of the symmetries labels declare: it
+verifies r1 and p1 (or +1 on residues) once per graph and reads orbits,
+stabilisers and each element's vertex images off the cycles of r1, never
+multiplying the group out. Shifts are tested element by element on those
+images; each public solver calls it once and hands its orbits to its searches.
 """
 
 from __future__ import annotations
@@ -142,11 +142,21 @@ def act_on_vertex(e: DihedralElement, v: KSubset) -> KSubset:
     return KSubset(tuple(sorted(e.apply(x) for x in v.elements)), v.ambient)
 
 
-def _label_generators(g: Graph) -> tuple[int, list[tuple[int, ...]]] | None:
-    """(n, the vertex permutations of the group's generators): +1 on residues
-    mod n; r1 and p1 by left multiplication on dihedral elements and
-    elementwise on k-subsets of [n], n >= 3. Each is checked by
-    `label_automorphism`; None if a check fails or g declares no group."""
+def label_orbits(g: Graph):
+    """(each vertex's least orbit-mate, a map from v to the group members
+    fixing v, the group's elements in `all_elements` order, a map from an
+    element to the image of each vertex in turn) for the group g's labels
+    declare, or None if a generator check fails or g declares no group.
+
+    The group is the n rotations on residues mod n, and all 2n elements on
+    dihedral-element labels (by left multiplication) and on k-subsets of [n],
+    n >= 3 (elementwise). Only r = r1 (+1 on residues) and p1 are checked,
+    by `label_automorphism`: every element is a power r^i, alone or after p1
+    (x -> c - x is r^(c-2) after p1), so it is a product of automorphisms.
+    p1 maps r-cycles onto r-cycles: v's orbit is its r-cycle, of length m,
+    and that cycle's image. r^i fixes v when m divides i, and r^i after p1
+    when r^i moves p1(v) to v. Every image is read off the cycles, so no
+    element's permutation is kept."""
     labels = g.labels
     first = labels[0] if labels else None
     if isinstance(first, CyclicElem) and all(
@@ -167,43 +177,11 @@ def _label_generators(g: Graph) -> tuple[int, list[tuple[int, ...]]] | None:
     else:
         return None
     gens = [label_automorphism(g, act) for act in acts]
-    return None if None in gens else (n, gens)
-
-
-def label_group(g: Graph) -> dict[DihedralElement, tuple[int, ...]] | None:
-    """The vertex permutation of every element of the group g's labels declare,
-    keyed in `all_elements` order: the n rotations on residues mod n, all 2n
-    elements on dihedral-element and k-subset labels. Only the generators of
-    `_label_generators` are checked: r_i is r1 applied i times and x -> c - x
-    is r_{c-2} after p1, and a product of automorphisms is one. None if a
-    check fails or g declares no group."""
-    verified = _label_generators(g)
-    if verified is None:
+    if None in gens:
         return None
-    n, gens = verified
-    rotations = [tuple(range(g.order))]
-    for _ in range(n - 1):
-        rotations.append(tuple(gens[0][x] for x in rotations[-1]))
-    # keys built directly: `rotation` rejects the residues mod 1 and 2
-    group = {DihedralElement(1, i, n): perm for i, perm in enumerate(rotations)}
-    if len(gens) == 2:
-        for e in all_elements(n)[n:]:
-            group[e] = tuple(rotations[(e.offset - 2) % n][x] for x in gens[1])
-    return group
-
-
-def label_orbits(g: Graph):
-    """(each vertex's least orbit-mate under `label_group(g)`, a map from v to
-    the group members fixing v) from one check of the generators, or None.
-
-    The group is the powers r^i of r = r1 (+1 on residues), alone or after p1,
-    which maps r-cycles onto r-cycles: v's orbit is its r-cycle, of length m,
-    and that cycle's image. r^i fixes v when m divides i, and r^i after p1
-    when r^i moves p1(v) to v. Powers are read off the cycles in one pass."""
-    verified = _label_generators(g)
-    if verified is None:
-        return None
-    n, (r, *flips) = verified
+    r, *flips = gens
+    # `rotation` rejects the residues mod 1 and 2
+    elements = all_elements(n) if flips else [DihedralElement(1, i, n) for i in range(n)]
     cycle, place = [None] * g.order, [0] * g.order
     for v in range(g.order):
         if cycle[v] is None:  # ascending v: each cycle starts at its least vertex
@@ -213,15 +191,19 @@ def label_orbits(g: Graph):
             for i, x in enumerate(c):
                 cycle[x], place[x] = c, i
 
-    def power(i: int, perm) -> tuple[int, ...]:  # r^i after perm
-        return tuple(cycle[x][(place[x] + i) % len(cycle[x])] for x in perm)
+    def power(i: int, perm):  # r^i after perm, vertex by vertex
+        return (cycle[x][(place[x] + i) % len(cycle[x])] for x in perm)
 
     def fixing(v: int) -> list[tuple[int, ...]]:
         m, firsts = len(cycle[v]), [(0, range(g.order))]
         firsts += [((place[v] - place[p[v]]) % m, p) for p in flips if cycle[p[v]] is cycle[v]]
-        return [power(i, perm) for first, perm in firsts for i in range(first, n, m)]
+        return [tuple(power(i, perm)) for first, perm in firsts for i in range(first, n, m)]
 
-    return [min([cycle[v][0]] + [cycle[p[v]][0] for p in flips]) for v in range(g.order)], fixing
+    def image(e: DihedralElement):
+        return power(e.offset, range(g.order)) if e.sign == 1 else power(e.offset - 2, flips[0])
+
+    leader = [min([cycle[v][0]] + [cycle[p[v]][0] for p in flips]) for v in range(g.order)]
+    return leader, fixing, elements, image
 
 
 def orbit_leaders(g: Graph) -> list[int]:
@@ -232,23 +214,25 @@ def orbit_leaders(g: Graph) -> list[int]:
 def is_shift(e: DihedralElement, g: Graph) -> tuple[bool, int | None]:
     """Does e move every vertex onto a neighbor? Returns (answer, witness).
 
-    The witness is a vertex index u with u not adjacent to e(u), or None.
-    GraphError when e is not in the group g's labels declare.
+    The witness is the first vertex index u with u not adjacent to e(u), or
+    None. GraphError when e is not in the group g's labels declare.
     """
-    perm = (label_group(g) or {}).get(e)
-    if perm is None:
+    orbits = label_orbits(g)
+    if orbits is None or e not in orbits[2]:
         raise GraphError(f"{e} on [{e.n}] does not act on the graph's labels")
-    witness = next((u for u, img in enumerate(perm) if not g.has_edge(u, img)), None)
+    witness = next((u for u, img in enumerate(orbits[3](e)) if not g.has_edge(u, img)), None)
     return witness is None, witness
 
 
 def enumerate_shifts(g: Graph) -> tuple[DihedralElement, ...]:
-    """The elements of `label_group(g)` that move every vertex onto a neighbor,
-    in `all_elements` order (by name)."""
-    group = label_group(g)
-    if group is None:
+    """The elements of the group g's labels declare that move every vertex
+    onto a neighbor, in `all_elements` order (by name); each element is
+    tested vertex by vertex up to its first non-neighbor."""
+    orbits = label_orbits(g)
+    if orbits is None:
         raise GraphError("shift enumeration needs a graph whose labels declare a group")
-    return tuple(e for e, perm in group.items() if all(map(g.has_edge, range(g.order), perm)))
+    _, _, elements, image = orbits
+    return tuple(e for e in elements if all(map(g.has_edge, range(g.order), image(e))))
 
 
 def predicted_shift_indices(n: int, k: int, s: int) -> set[int]:

@@ -88,39 +88,46 @@ def dimacs_dumps(g: Graph) -> str:
 
 
 def dimacs_loads(text: str) -> Graph:
+    """Parse DIMACS text; a GraphError on a malformed line names that line."""
     order = None
     edges = []
     labels: dict[int, object] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "p":
-            if order is not None:
-                raise GraphError(f"repeated problem line: {line!r}")
-            if len(parts) < 4 or parts[1] != "edge":
-                raise GraphError(f"malformed problem line: {line!r}")
-            order, declared = int(parts[2]), int(parts[3])
-        elif parts[0] == "e":
-            if order is None:
-                raise GraphError("edge line before the problem line")
-            if len(parts) != 3:
-                raise GraphError(f"edge line needs exactly two endpoints: {line!r}")
-            edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
-        elif not parts[0].startswith("c"):
-            raise GraphError(f"line {lineno} is no comment, 'p' or 'e' line: {line!r}")
-        elif len(parts) >= 4 and parts[1] == "label":
-            v = int(parts[2]) - 1
-            if v in labels:
-                raise GraphError(f"line {lineno} labels vertex {v + 1} a second time")
-            try:
-                labels[v] = parse_label(line.split(maxsplit=3)[3])
-            except RecursionError:
-                raise GraphError(f"line {lineno}: label nested too deeply to parse") from None
+        try:
+            if not parts:
+                continue
+            if parts[0] == "p":
+                if order is not None:
+                    raise GraphError(f"repeated problem line: {line!r}")
+                if len(parts) < 4 or parts[1] != "edge" or int(parts[2]) < 0:
+                    raise GraphError(f"malformed problem line: {line!r}")
+                order, declared, problem_line = int(parts[2]), int(parts[3]), lineno
+            elif parts[0] == "e":
+                if order is None:
+                    raise GraphError("edge line before the problem line")
+                if len(parts) != 3:
+                    raise GraphError(f"edge line needs exactly two endpoints: {line!r}")
+                u, v = int(parts[1]), int(parts[2])
+                if u == v or not (1 <= u <= order and 1 <= v <= order):
+                    raise GraphError(f"edge {u} {v} is a loop or leaves 1..{order}")
+                edges.append((u - 1, v - 1))
+            elif not parts[0].startswith("c"):
+                raise GraphError(f"no comment, 'p' or 'e' line: {line!r}")
+            elif len(parts) >= 4 and parts[1] == "label":
+                v = int(parts[2]) - 1
+                if v in labels:
+                    raise GraphError(f"labels vertex {v + 1} a second time")
+                try:
+                    labels[v] = parse_label(line.split(maxsplit=3)[3])
+                except RecursionError:
+                    raise GraphError("label nested too deeply to parse") from None
+        except ValueError as err:  # GraphError, or a field or label that does not parse
+            raise GraphError(f"line {lineno}: {err}") from None
     if order is None:
         raise GraphError("missing 'p edge' header")
     if len(edges) != declared:
-        raise GraphError(f"problem line declares {declared} edges, found {len(edges)}")
+        raise GraphError(f"line {problem_line}: declares {declared} edges, found {len(edges)}")
     lab_tuple = None
     if labels:
         if sorted(labels) != list(range(order)):

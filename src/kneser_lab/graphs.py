@@ -82,12 +82,6 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, tuple(full & ~(1 << u) for u in range(n)))
 
 
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise GraphError("a cycle needs at least 3 vertices")
-    return make_graph(n, [(u, (u + 1) % n) for u in range(n)])
-
-
 def verify_homomorphism(g: Graph, h: Graph, mapping) -> bool:
     """Independent check that mapping sends every edge of g to an edge of h.
 

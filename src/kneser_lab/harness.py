@@ -443,7 +443,7 @@ def probe_conjectures(
     exhaustion is an expected outcome here. Raising square_order_cap lets
     the direct square searches run on bigger instances (the search on the
     324-vertex square of n = 9, k = 2, s = 3 finishes with "none" after
-    1,499 nodes in about 0.2 s), at the cost of longer probes.
+    754 nodes in about 0.02 s), at the cost of longer probes.
     """
     reports = []
     for k in sorted(k_values):

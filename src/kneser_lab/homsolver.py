@@ -171,9 +171,10 @@ def _solve(g: Graph, h: Graph, doms: list[int], enforce, clock: BudgetClock, sym
 def find_homomorphism(g: Graph, h: Graph, budget: SearchBudget | None = None) -> SolveOutcome:
     """Decide whether an edge-preserving map g -> h exists.
 
-    The full domains are invariant under `label_group(h)`, so the search
-    breaks that group from its first node on, where it tries only the orbit
-    leaders of h; a copy of h without labels gives the plain search.
+    The full domains are invariant under the group `label_orbits(h)`
+    verifies, so the search breaks that group from its first node on, where
+    it tries only the orbit leaders of h; a copy of h without labels gives
+    the plain search.
     """
     clock = resolve_budget(budget).start()
     orbits = label_orbits(h)
@@ -193,14 +194,15 @@ def is_core(g: Graph, budget: SearchBudget | None = None) -> CoreOutcome:
     """Exhaustively decide whether every endomorphism of g is surjective.
 
     g fails to be a core exactly when some endomorphism misses a vertex. If
-    f misses sigma(v) for sigma in `label_group(g)`, then sigma^-1 after f
-    misses v, so only the least vertex of each orbit is banned, in turn and
-    all searches on one clock, each under the stabiliser of v.
+    f misses sigma(v) for sigma in the group `label_orbits(g)` verifies,
+    then sigma^-1 after f misses v, so only the least vertex of each orbit
+    is banned, in turn and all searches on one clock, each under the
+    stabiliser of v.
     """
     clock = resolve_budget(budget).start()
     full = (1 << g.order) - 1
     enforce = _arc_consistency(g, g)
-    leader, fixing = label_orbits(g) or (range(g.order), lambda v: ())
+    leader, fixing, *_ = label_orbits(g) or (range(g.order), lambda v: ())
     for v, lead in enumerate(leader):
         if lead < v:
             continue

@@ -9,10 +9,13 @@ the incremental kernel in `coloring` must reproduce node for node.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations, permutations
 
 from kneser_lab.budget import BudgetClock
-from kneser_lab.graphs import Graph, iter_bits, make_graph
+from kneser_lab.dihedral import DihedralElement, act_on_vertex, all_elements, compose
+from kneser_lab.graphs import Graph, iter_bits, label_automorphism, make_graph
+from kneser_lab.labels import CyclicElem, KSubset
 
 
 def empty_graph(n: int) -> Graph:
@@ -21,6 +24,11 @@ def empty_graph(n: int) -> Graph:
 
 def path_graph(n: int) -> Graph:
     return make_graph(n, [(u, u + 1) for u in range(n - 1)])
+
+
+def cycle_graph(n: int) -> Graph:
+    """The unlabelled n-cycle, from its edge list rather than `cycle_power`."""
+    return make_graph(n, [(u, (u + 1) % n) for u in range(n)])
 
 
 def audit_graph(g: Graph) -> bool:
@@ -39,6 +47,31 @@ def strip_labels(g: Graph) -> Graph:
     """A copy of g without labels: it declares no symmetry, so every solver
     runs its plain, unreduced search on it."""
     return Graph(g.order, g.adj, None)
+
+
+def declared_elements(g: Graph) -> list[DihedralElement]:
+    """The elements g's labels declare: rotations for residues, else all 2n."""
+    first = g.labels[0]
+    if isinstance(first, CyclicElem):
+        n = first.modulus
+        return all_elements(n)[:n] if n >= 3 else [DihedralElement(1, i, n) for i in range(n)]
+    return all_elements(first.ambient if isinstance(first, KSubset) else first.n)
+
+
+def label_action(e: DihedralElement, label):
+    """The element e acting on one vertex label of any of the three kinds."""
+    if isinstance(label, CyclicElem):
+        return CyclicElem((label.value + e.offset) % label.modulus, label.modulus)
+    if isinstance(label, KSubset):
+        return act_on_vertex(e, label)
+    return compose(e, label)
+
+
+def declared_perms(g: Graph) -> dict[DihedralElement, tuple[int, ...] | None]:
+    """The vertex permutation of every declared element, each built from that
+    element's own label action by `label_automorphism` and never from r1 and
+    p1; None where the action is no automorphism."""
+    return {e: label_automorphism(g, partial(label_action, e)) for e in declared_elements(g)}
 
 
 def is_clique(g: Graph, vertices) -> bool:

@@ -6,7 +6,7 @@ defaults; every instance here is desk scale by construction.
 
 import random
 
-from helpers import brute_homomorphism_exists, random_graph
+from helpers import brute_homomorphism_exists, cycle_graph, random_graph
 from kneser_lab.coloring import chromatic_number, closed_form_chi, is_chi_critical
 from kneser_lab.dihedral import (
     act_on_vertex,
@@ -25,12 +25,7 @@ from kneser_lab.families import (
     prop_iso_map,
     stable_kneser,
 )
-from kneser_lab.graphs import (
-    complete_graph,
-    connected_components,
-    cycle_graph,
-    disjoint_union,
-)
+from kneser_lab.graphs import complete_graph, connected_components, disjoint_union
 from kneser_lab.harness import transported_square_hom
 from kneser_lab.homsolver import (
     check_certificate,

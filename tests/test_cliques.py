@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     brute_clique_number,
     brute_independence_number,
+    cycle_graph,
     is_clique,
     is_independent_set,
     random_graph,
@@ -13,7 +14,7 @@ from kneser_lab import cliques
 from kneser_lab.budget import BudgetExhausted, SearchBudget
 from kneser_lab.cliques import clique_number, independence_number
 from kneser_lab.coloring import chromatic_number
-from kneser_lab.graphs import complete_graph, cycle_graph
+from kneser_lab.graphs import complete_graph
 
 
 def test_alpha_complete():

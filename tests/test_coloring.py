@@ -4,6 +4,7 @@ import pytest
 
 from helpers import (
     brute_chromatic_number,
+    cycle_graph,
     empty_graph,
     random_graph,
     reference_dsatur,
@@ -22,7 +23,7 @@ from kneser_lab.coloring import (
 )
 from kneser_lab.dihedral import orbit_leaders
 from kneser_lab.families import parse_family_spec, stable_kneser
-from kneser_lab.graphs import complete_graph, cycle_graph, delete_vertex
+from kneser_lab.graphs import complete_graph, delete_vertex
 from kneser_lab.harness import load_manifest
 from kneser_lab.homsolver import find_homomorphism
 
@@ -105,7 +106,7 @@ def test_dsatur_kernel_matches_max_scan_reference():
 
 
 # chi nodes of the labelled graph, whose clique bound searches one root per
-# orbit of `label_group`
+# orbit of the group `label_orbits` verifies
 ORBIT_NODES = {
     "stable:n=10,k=2,s=2": 5_562,
     "stable:n=9,k=3,s=2": 6_133,

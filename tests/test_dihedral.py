@@ -1,10 +1,18 @@
 import random
+import tracemalloc
 from functools import partial
 from itertools import product
 
 import pytest
 
-from helpers import named_perm, perm_inverse
+from helpers import (
+    cycle_graph,
+    declared_elements,
+    declared_perms,
+    label_action,
+    named_perm,
+    perm_inverse,
+)
 from kneser_lab import dihedral
 from kneser_lab.dihedral import (
     DihedralElement,
@@ -16,7 +24,6 @@ from kneser_lab.dihedral import (
     identity,
     inverse,
     is_shift,
-    label_group,
     label_orbits,
     mod1,
     non_shift_witness,
@@ -31,13 +38,14 @@ from kneser_lab.dimacs import format_label, parse_label
 from kneser_lab.families import (
     cayley_dihedral,
     circulant,
+    cycle_power,
     kneser,
     parse_family_spec,
     stable_kneser,
 )
-from kneser_lab.graphs import GraphError, cycle_graph, induced_subgraph, label_automorphism
+from kneser_lab.graphs import GraphError, induced_subgraph, label_automorphism
 from kneser_lab.harness import load_manifest
-from kneser_lab.labels import CyclicElem, KSubset
+from kneser_lab.labels import KSubset
 
 
 def _texts(elements):
@@ -156,18 +164,17 @@ def test_action_preserves_stability_exhaustively():
 
 
 def test_induced_automorphism_identity():
-    g = stable_kneser(7, 2, 3)
-    assert label_group(g)[identity(7)] == tuple(range(7))
+    image = label_orbits(stable_kneser(7, 2, 3))[3]
+    assert tuple(image(identity(7))) == tuple(range(7))
 
 
 def test_rotations_form_cyclic_subgroup():
-    g = stable_kneser(7, 2, 3)
-    table = label_group(g)
-    base = table[rotation(1, 7)]
+    image = label_orbits(stable_kneser(7, 2, 3))[3]
+    base = tuple(image(rotation(1, 7)))
     perm = tuple(range(7))
     perms = set()
     for i in range(7):
-        assert table[rotation(i, 7)] == perm
+        assert tuple(image(rotation(i, 7))) == perm
         perms.add(perm)
         perm = tuple(base[x] for x in perm)
     assert len(perms) == 7
@@ -177,9 +184,10 @@ def test_every_element_induces_automorphism_small_n():
     # edge and non-edge preservation, exhaustively checked
     for n, k, s in ((6, 2, 2), (8, 2, 3), (10, 3, 3), (12, 2, 4)):
         g = stable_kneser(n, k, s)
-        table = label_group(g)
-        for e in all_elements(n):
-            perm = table[e]
+        _, _, elements, image = label_orbits(g)
+        assert elements == all_elements(n)
+        for e in elements:
+            perm = tuple(image(e))
             assert sorted(perm) == list(range(g.order))
             for u in range(g.order):
                 for v in range(u + 1, g.order):
@@ -187,17 +195,17 @@ def test_every_element_induces_automorphism_small_n():
 
 
 def test_generator_products_match_each_label_action():
-    # every element's permutation, read from the table built from r1 and p1,
+    # every element's images, read off the cycles of the verified r1 and p1,
     # against the element's own label action verified on its own
     cfg = load_manifest()["shift_grid"]
     for k in cfg["k_values"]:
         for s in cfg["s_values"]:
             for n in range(s * k + 1, min((k + 2) * s, cfg["n_cap"]) + 1):
                 g = stable_kneser(n, k, s)
-                table = label_group(g)
-                assert set(table) == set(all_elements(n))
-                for e, perm in table.items():
-                    assert perm == label_automorphism(g, partial(act_on_vertex, e))
+                _, _, elements, image = label_orbits(g)
+                assert elements == all_elements(n)
+                for e in elements:
+                    assert tuple(image(e)) == label_automorphism(g, partial(act_on_vertex, e))
 
 
 def test_enumerate_shifts_verifies_only_the_generators(monkeypatch):
@@ -208,18 +216,35 @@ def test_enumerate_shifts_verifies_only_the_generators(monkeypatch):
         return label_automorphism(g, act)
 
     monkeypatch.setattr(dihedral, "label_automorphism", counted)
-    found = enumerate_shifts(stable_kneser(13, 3, 4))
-    assert found == predicted_shifts(13, 3, 4)
+    g = stable_kneser(13, 3, 4)
+    assert enumerate_shifts(g) == predicted_shifts(13, 3, 4)
     assert len(calls) == 2
+    calls.clear()
+    assert is_shift(rotation(1, 13), g) == (True, None)
+    assert len(calls) == 2
+
+
+def test_shifts_of_a_long_cycle_keep_no_permutation_per_element():
+    # one image tuple per rotation of the 4,001-cycle would take over 100 MiB
+    g = cycle_power(4001, 1)
+    tracemalloc.start()
+    try:
+        assert enumerate_shifts(g) == (rotation(1, 4001), rotation(4000, 4001))
+        shifts_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert is_shift(rotation(1, 4001), g) == (True, None)
+        is_shift_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shifts_peak < 8 << 20 and is_shift_peak < 8 << 20
 
 
 def test_not_vertex_transitive_witness():
     g = stable_kneser(6, 2, 2)
     src = g.label_index()[KSubset((1, 3), 6)]
     dst = g.label_index()[KSubset((1, 4), 6)]
-    table = label_group(g)
-    for e in all_elements(6):
-        assert table[e][src] != dst
+    for perm in declared_perms(g).values():
+        assert perm[src] != dst
 
 
 def test_is_shift_examples():
@@ -235,8 +260,8 @@ def test_is_shift_examples():
 
 
 def test_induced_automorphism_requires_subset_labels():
-    assert label_group(cycle_graph(6)) is None
-    assert label_group(induced_subgraph(stable_kneser(8, 2, 3), range(5))) is None
+    assert label_orbits(cycle_graph(6)) is None
+    assert label_orbits(induced_subgraph(stable_kneser(8, 2, 3), range(5))) is None
 
 
 def _circulants():
@@ -272,32 +297,15 @@ def _labelled_graphs():
         yield stable_kneser(n, k, s)
 
 
-def _declared_elements(g):
-    """The elements g's labels declare: rotations for residues, else all 2n."""
-    first = g.labels[0]
-    if isinstance(first, CyclicElem):
-        n = first.modulus
-        return all_elements(n)[:n] if n >= 3 else [DihedralElement(1, i, n) for i in range(n)]
-    return all_elements(first.ambient if isinstance(first, KSubset) else first.n)
-
-
-def _label_action(e, label):
-    """The element e acting on one vertex label of any of the three kinds."""
-    if isinstance(label, CyclicElem):
-        return CyclicElem((label.value + e.offset) % label.modulus, label.modulus)
-    if isinstance(label, KSubset):
-        return act_on_vertex(e, label)
-    return compose(e, label)
-
-
-def test_label_group_matches_each_label_action_on_every_label_kind():
-    # residue, dihedral and k-subset labels: each entry, built from r1 and p1,
-    # against the element's own label action verified on its own
+def test_label_orbits_images_match_each_label_action_on_every_label_kind():
+    # residue, dihedral and k-subset labels: each element's images, read off
+    # the cycles of r1, against its own label action verified on its own
     for g in _labelled_graphs():
-        group = label_group(g)
-        assert list(group) == _declared_elements(g)
-        for e, perm in group.items():
-            assert perm == label_automorphism(g, partial(_label_action, e))
+        _, _, elements, image = label_orbits(g)
+        perms = declared_perms(g)
+        assert elements == list(perms)
+        for e in elements:
+            assert tuple(image(e)) == perms[e]
 
 
 def test_root_candidates_meet_every_orbit_once_on_every_label_kind():
@@ -305,13 +313,13 @@ def test_root_candidates_meet_every_orbit_once_on_every_label_kind():
         leader = orbit_leaders(g)
         index = g.label_index()
         for label in g.labels:
-            orbit = {index[_label_action(e, label)] for e in _declared_elements(g)}
+            orbit = {index[label_action(e, label)] for e in declared_elements(g)}
             assert sum(leader[v] == v for v in orbit) == 1
 
 
 def test_orbit_leaders_are_the_least_image_under_the_whole_group():
     for g in _labelled_graphs():
-        perms = label_group(g).values()
+        perms = declared_perms(g).values()
         assert orbit_leaders(g) == [min(p[v] for p in perms) for v in range(g.order)]
     # no verified group: every vertex leads its own orbit
     for g in (cycle_graph(6), induced_subgraph(stable_kneser(8, 2, 3), range(5))):
@@ -319,11 +327,11 @@ def test_orbit_leaders_are_the_least_image_under_the_whole_group():
 
 
 def test_label_orbits_stabilisers_are_the_group_members_fixing_a_vertex():
-    # read off the cycles of r1, with multiplicity, against the multiplied-out
-    # table; pairs fixed by a reflexion have stabilisers of order 2 or more
+    # read off the cycles of r1, with multiplicity, against each element's own
+    # label action; pairs fixed by a reflexion have stabilisers of order 2 or more
     for g in _labelled_graphs():
-        perms = list(label_group(g).values())
-        leader, fixing = label_orbits(g)
+        perms = list(declared_perms(g).values())
+        leader, fixing, _, _ = label_orbits(g)
         assert leader == orbit_leaders(g)
         for v in range(g.order):
             assert sorted(fixing(v)) == sorted(p for p in perms if p[v] == v)
@@ -351,13 +359,13 @@ def test_enumerate_shifts_matches_circulant_and_cayley_oracles():
     assert _texts(enumerate_shifts(caydih)) == ("r1", "r5")
 
 
-def test_is_shift_reads_the_label_group():
+def test_is_shift_agrees_with_enumerate_shifts_on_every_element():
     for g in (circulant(8, {1, 2, 6, 7}), cayley_dihedral(5, set(all_elements(5)[5:]))):
         shifts = enumerate_shifts(g)
-        for e in label_group(g):
+        for e, perm in declared_perms(g).items():
             ok, witness = is_shift(e, g)
             assert ok == (e in shifts)
-            assert ok or not g.has_edge(witness, label_group(g)[e][witness])
+            assert witness == next((u for u in range(g.order) if not g.has_edge(u, perm[u])), None)
     with pytest.raises(GraphError):
         is_shift(rho(1, 8), circulant(8, {1, 7}))  # residues declare rotations only
     with pytest.raises(GraphError):

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     audit_graph,
     brute_cayley_edges,
+    cycle_graph,
     disjoint_neighbours,
     is_stable_pairwise,
     named_perm,
@@ -26,7 +27,7 @@ from kneser_lab.families import (
     prop_iso_map,
     stable_kneser,
 )
-from kneser_lab.graphs import complement, complete_graph, connected_components, cycle_graph
+from kneser_lab.graphs import complement, complete_graph, connected_components
 from kneser_lab.isomorphism import are_isomorphic, verify_isomorphism
 from kneser_lab.labels import KSubset
 

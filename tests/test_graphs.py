@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from helpers import audit_graph, empty_graph, path_graph, random_graph
+from helpers import audit_graph, cycle_graph, empty_graph, path_graph, random_graph
 from kneser_lab.graphs import (
     GraphError,
     cartesian_product,
     complement,
     complete_graph,
     connected_components,
-    cycle_graph,
     delete_vertex,
     disjoint_union,
     induced_subgraph,

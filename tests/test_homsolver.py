@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     brute_homomorphism_exists,
     brute_retraction_exists,
+    cycle_graph,
     random_graph,
     reference_arc_consistency,
     strip_labels,
@@ -27,7 +28,6 @@ from kneser_lab.families import (
 from kneser_lab.graphs import (
     cartesian_product,
     complete_graph,
-    cycle_graph,
     delete_vertex,
     induced_subgraph,
     iter_bits,

@@ -3,10 +3,10 @@ from itertools import combinations
 
 import pytest
 
-from helpers import brute_isomorphic, path_graph, random_graph
+from helpers import brute_isomorphic, cycle_graph, path_graph, random_graph
 from kneser_lab.budget import BudgetExhausted, SearchBudget
 from kneser_lab.families import circular_graph, stable_kneser
-from kneser_lab.graphs import cartesian_product, complete_graph, cycle_graph, make_graph
+from kneser_lab.graphs import cartesian_product, complete_graph, make_graph
 from kneser_lab.isomorphism import _joint_refinement, are_isomorphic, verify_isomorphism
 
 

@@ -1,10 +1,11 @@
 import pytest
 
+from helpers import cycle_graph
 from kneser_lab import cli
 from kneser_lab.dihedral import delta, rho, rotation
 from kneser_lab.dimacs import dimacs_dumps, dimacs_loads, format_label, parse_label, read_dimacs
 from kneser_lab.families import kneser, stable_kneser
-from kneser_lab.graphs import GraphError, cycle_graph, make_graph
+from kneser_lab.graphs import GraphError, make_graph
 from kneser_lab.labels import CyclicElem, KSubset
 
 
@@ -88,26 +89,39 @@ def test_dimacs_rejects_garbage():
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, lineno",
     [
-        "p edge 3 5\ne 1 2\ne 2 3\n",
-        "p edge 3 1\ne 1\n",
-        "p edge 3 0\np edge 5 0\n",
-        "p edge 3 1\ne 1 2 3\n",
+        ("p edge 3 5\ne 1 2\ne 2 3\n", 1),
+        ("p edge 3 1\ne 1\n", 2),
+        ("p edge 3 0\np edge 5 0\n", 2),
+        ("p edge 3 1\ne 1 2 3\n", 2),
         # only the first token names a line kind, and only "c", "p" and "e" exist
-        "p edge 2 1\nedge 1 2\n",
-        "p edge 2 0\nx 1 2\n",
-        "p edge 2 0\nn 1 5\n",
-        "c label 1 z0@3\nc label 1 z2@3\np edge 1 0\n",
+        ("p edge 2 1\nedge 1 2\n", 2),
+        ("p edge 2 0\nx 1 2\n", 2),
+        ("p edge 2 0\nn 1 5\n", 2),
+        ("c label 1 z0@3\nc label 1 z2@3\np edge 1 0\n", 2),
+        # fields that are no integers and labels that do not parse
+        ("p edge x 1\n", 1),
+        ("p edge 2 1\ne 1 x\n", 2),
+        ("c label x z0@2\np edge 1 0\n", 1),
+        ("c label 1 {1,x}@5\np edge 1 0\n", 1),
+        ("c label 1 {3,1}@5\np edge 1 0\n", 1),
+        ("c label 1 r9@4\np edge 1 0\n", 1),
+        # endpoints are 1-based and distinct, and an order is not negative
+        ("p edge 3 1\ne 1 4\n", 2),
+        ("p edge 3 1\ne 0 1\n", 2),
+        ("p edge 3 1\ne 2 2\n", 2),
+        ("c comment\np edge -1 0\n", 2),
     ],
 )
-def test_dimacs_rejects_malformed_edges(tmp_path, capsys, text):
-    with pytest.raises(GraphError):
+def test_dimacs_rejects_malformed_edges(tmp_path, capsys, text, lineno):
+    with pytest.raises(GraphError, match=f"^line {lineno}: "):
         dimacs_loads(text)
     path = tmp_path / "bad.dimacs"
     path.write_text(text)
     assert cli.main(["chi", str(path)]) == 64
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: line {lineno}: " in err and len(err.splitlines()) == 1
 
 
 def test_deeply_nested_label_is_a_usage_error(tmp_path, capsys):

@@ -1,10 +1,11 @@
 """The orbit-reduced searches against the unreduced ones.
 
 The clique root, the criticality audit and the core test search one vertex
-per orbit of `dihedral.label_group`, and the homomorphism and core searches
-break the target's group at every node. A copy of the graph without labels
-declares no group, so it runs the plain search; both must give the same
-answers and witnesses, and agree with the brute-force oracles of `helpers`.
+per orbit of the group `dihedral.label_orbits` verifies, and the
+homomorphism and core searches break the target's group at every node. A
+copy of the graph without labels declares no group, so it runs the plain
+search; both must give the same answers and witnesses, and agree with the
+brute-force oracles of `helpers`.
 """
 
 import random
@@ -16,6 +17,7 @@ import pytest
 from helpers import (
     brute_homomorphism_exists,
     brute_retraction_exists,
+    cycle_graph,
     is_clique,
     is_independent_set,
     random_graph,
@@ -29,7 +31,7 @@ from kneser_lab.dihedral import (
     act_on_vertex,
     all_elements,
     enumerate_shifts,
-    label_group,
+    label_orbits,
     orbit_leaders,
 )
 from kneser_lab.families import cayley_dihedral, parse_family_spec, stable_kneser
@@ -37,7 +39,6 @@ from kneser_lab.graphs import (
     Graph,
     cartesian_product,
     complete_graph,
-    cycle_graph,
     induced_subgraph,
     make_graph,
     verify_homomorphism,
@@ -144,12 +145,13 @@ def _mislabelled(g: Graph) -> Graph:
 
 def test_corpus_covers_the_manifest_and_every_label_kind():
     assert len(MANIFEST) >= 50 and len(GRID) >= 70
-    assert all(label_group(g) for name, g in CORPUS.items() if name.startswith("invariant"))
+    verified = {name for name, g in CORPUS.items() if label_orbits(g) is not None}
+    assert {name for name in CORPUS if name.startswith("invariant")} <= verified
     assert {inst["spec"] for inst in load_manifest()["core_instances"]} <= set(CORE_CORPUS)
-    kinds = {type(g.labels[0]).__name__ for g in CORPUS.values() if label_group(g)}
+    kinds = {type(CORPUS[name].labels[0]).__name__ for name in verified}
     assert kinds == {"KSubset", "CyclicElem", "DihedralElement"}
     # the chi lower-bound graphs are labelled but their symmetry fails
-    assert label_group(MANIFEST["chi lower bound graph s=3"]) is None
+    assert label_orbits(MANIFEST["chi lower bound graph s=3"]) is None
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -221,7 +223,7 @@ def test_core_status_and_witness_match_the_plain_search(name):
 def test_symmetry_that_fails_verification_gives_the_unreduced_search(text):
     g = parse_family_spec(text).build()
     bad = _mislabelled(g)
-    assert label_group(g) is not None and label_group(bad) is None
+    assert label_orbits(g) is not None and label_orbits(bad) is None
     assert orbit_leaders(bad) == list(range(g.order))
     plain = strip_labels(g)
     for solve in (clique_number, independence_number, chromatic_number):
