@@ -97,7 +97,8 @@ def _cmd_chi(args) -> int:
     g = _load_graph(args.spec)
     result = coloring.chromatic_number(g, _budget_from(args))
     cert = homsolver.certificate(
-        "coloring", data=result.coloring, source=g, verified=True, nodes=result.nodes
+        "coloring", data=result.coloring, source=g, verified=True, nodes=result.nodes,
+        seconds=result.seconds,
     )
     print(f"chi = {result.chi}")
     print(homsolver.certificate_dumps(cert))

@@ -14,7 +14,7 @@ definition and against the old max-scan search lives in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .budget import BudgetClock, SearchBudget, resolve_budget
 from .cliques import _max_clique
@@ -29,6 +29,7 @@ class ColoringResult:
     coloring: tuple[int, ...]
     clique: tuple[int, ...]  # witness for the lower bound
     nodes: int
+    seconds: float = field(default=0.0, compare=False)  # a time, not part of the answer
 
 
 def _no_tick() -> None:
@@ -125,7 +126,7 @@ def _colorable(g: Graph, k: int, tick) -> tuple[int, ...] | None:
 
 def _chromatic(g: Graph, clock: BudgetClock, leader) -> ColoringResult:
     """chromatic_number on the caller's clock and the caller's orbit leaders
-    of g, which the clique bound uses; `nodes` is the clock's total."""
+    of g, which the clique bound uses; `nodes` and `seconds` are the clock's."""
     lower, clique = _max_clique(g, clock, leader)
     coloring = _colorable(g, g.order, _no_tick)  # greedy: one descent, never stuck
     chi = max(coloring, default=-1) + 1
@@ -134,7 +135,7 @@ def _chromatic(g: Graph, clock: BudgetClock, leader) -> ColoringResult:
         if attempt is not None:
             chi, coloring = k, attempt
             break
-    return ColoringResult(chi, coloring, clique, clock.nodes)
+    return ColoringResult(chi, coloring, clique, clock.nodes, clock.elapsed())
 
 
 @dataclass(frozen=True)

@@ -147,24 +147,19 @@ def run_shift_grid(budget=None, manifest=None, include_square_search=False) -> l
             for n in range(s * k + 1, min((k + 2) * s, _field(cfg, "n_cap")) + 1):
                 g = stable_kneser(n, k, s)
                 params = {"n": n, "k": k, "s": s}
-                found = dihedral.enumerate_shifts(g)
                 reflexions = dihedral.all_elements(n)[n:]
 
+                def shifts():
+                    return [str(e) for e in dihedral.enumerate_shifts(g)], {"order": g.order}
+
                 def audit():
-                    witnesses = {
-                        e: dihedral.non_shift_witness(e, n, k, s)
-                        for e in reflexions
-                        if e not in found
-                    }
-                    bad = [
-                        str(e) for e in reflexions if e in found or not _refutes(e, witnesses[e], s)
-                    ]
-                    examples = [f"{e}: {v}" for e, v in witnesses.items()]
-                    return bad, {"example": examples[0] if examples else "", "reflexions": n}
+                    witnesses = {e: dihedral.non_shift_witness(e, n, k, s) for e in reflexions}
+                    bad = [str(e) for e, v in witnesses.items() if not _refutes(e, v, s)]
+                    example = f"{reflexions[0]}: {witnesses[reflexions[0]]}"
+                    return bad, {"example": example, "reflexions": n}
 
                 predicted = [str(e) for e in dihedral.predicted_shifts(n, k, s)]
-                shifts = ([str(e) for e in found], {"order": g.order})
-                reports.append(_row("shift-grid", params, predicted, lambda: shifts))
+                reports.append(_row("shift-grid", params, predicted, shifts))
                 reports.append(_row("shift-reflexion-witness", params, [], audit))
     return _sort_reports(reports)
 

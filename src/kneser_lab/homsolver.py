@@ -1,13 +1,13 @@
 """Homomorphism search, solver outcomes, and JSON certificates.
 
 `_run_search` is the one backtracking skeleton over per-vertex candidate
-bitsets, on the clock of the public call; a propagator narrows the domains at
-every node. Homomorphism and core searches share arc consistency and differ
-only in their start domains: a changed domain of v cuts each neighbour of v
-to the union of the target neighbourhoods of v's candidates. Each public
-call verifies the target's label symmetry once, with `label_orbits`; the
-search breaks it at every node, and the core test bans one vertex v per
-orbit and searches under v's stabiliser.
+bitsets, on the clock of the public call; arc consistency narrows the domains
+at every node of every search: a changed domain of v cuts each neighbour of v
+to the union of the target neighbourhoods of v's candidates. Homomorphism and
+core searches differ only in their start domains; `isomorphism` runs it on
+edges and on non-edges. Each public call verifies the target's label symmetry
+once, with `label_orbits`; the search breaks it at every node, and the core
+test bans one vertex v per orbit and searches under v's stabiliser.
 A negative answer only follows a completed search; every positive answer and
 loaded certificate passes the map checker `graphs.verify_homomorphism`, and a
 "not-core" endomorphism is checked to miss a vertex.

@@ -1,17 +1,17 @@
-"""Graph isomorphism by joint colour refinement plus forward checking.
+"""Graph isomorphism by joint colour refinement plus arc consistency.
 
 Both graphs are colour-refined in one shared palette, starting from the
 sizes of the connected components, and each vertex of g starts with the
-vertices of h in its colour class as candidates. The search is
-`homsolver._run_search` with forward checking. An empty candidate set prunes
-the branch. Any map found is re-verified by an independent checker.
+vertices of h in its colour class as candidates. `homsolver._run_search`
+searches them under arc consistency on the edges and on the non-edges. Any
+map found is re-verified by an independent checker.
 """
 
 from __future__ import annotations
 
 from .budget import SearchBudget, resolve_budget
-from .graphs import Graph, connected_components, iter_bits, verify_homomorphism
-from .homsolver import _run_search
+from .graphs import Graph, complement, connected_components, iter_bits, verify_homomorphism
+from .homsolver import _arc_consistency, _run_search
 
 
 def verify_isomorphism(g: Graph, h: Graph, mapping) -> bool:
@@ -59,37 +59,31 @@ def _joint_refinement(g: Graph, h: Graph) -> tuple[list[int], list[int]]:
         colors = new
 
 
-def _forward_checking(g: Graph, h: Graph):
-    """The propagator for `_run_search`: a vertex u with the single candidate
-    w keeps every other vertex among the neighbours of w if it is adjacent to
-    u, else among the non-neighbours of w other than w, so the map stays
-    injective."""
-    full = (1 << g.order) - 1
+def _edges_and_non_edges(g: Graph, h: Graph):
+    """The propagator for `_run_search`: arc consistency on g -> h and on
+    complement(g) -> complement(h), each re-run from the vertices the other
+    narrowed, to their joint (unique) fixpoint. Neither h nor its complement
+    has a loop, so a map keeping both is injective."""
+    propagators = (_arc_consistency(g, h), _arc_consistency(complement(g), complement(h)))
 
     def enforce(doms: list[int], seeds) -> bool:
-        queue = [u for u in seeds if doms[u].bit_count() == 1]
-        while queue:
-            u = queue.pop()
-            adj, near = g.adj[u], h.adj[doms[u].bit_length() - 1]
-            far = full & ~near & ~doms[u]
-            for x, d in enumerate(doms):
-                new = d & (near if adj >> x & 1 else far)
-                if new != d and x != u:
-                    if not new:
-                        return False
-                    doms[x] = new
-                    if new & (new - 1) == 0:
-                        queue.append(x)
+        todo, i = [set(seeds), set(seeds)], 0  # narrowed since each last ran
+        while todo[i]:
+            before = doms.copy()
+            if not propagators[i](doms, todo[i]):
+                return False
+            todo[i], i = set(), i ^ 1
+            todo[i].update(u for u, d in enumerate(before) if d != doms[u])
         return True
 
     return enforce
 
 
 def are_isomorphic(g: Graph, h: Graph, budget: SearchBudget | None = None):
-    """A vertex bijection g -> h preserving adjacency both ways, or None
-    after a completed search. The budget ticks at each branching step and
-    each candidate tried; forced placements propagate without a tick. Running
-    out raises BudgetExhausted."""
+    """A vertex bijection g -> h keeping edges and non-edges, or None after a
+    completed search; every leaf of the search is one. The budget ticks at
+    each branching step and each candidate tried; forced placements propagate
+    without a tick. Running out raises BudgetExhausted."""
     clock = resolve_budget(budget).start()
     n = g.order
     if n != h.order or g.edge_count != h.edge_count:
@@ -98,7 +92,7 @@ def are_isomorphic(g: Graph, h: Graph, budget: SearchBudget | None = None):
     if sorted(cg) != sorted(ch):
         return None
     doms = [sum(1 << w for w in range(n) if ch[w] == cg[u]) for u in range(n)]
-    result = _run_search(doms, _forward_checking(g, h), clock, None)
+    result = _run_search(doms, _edges_and_non_edges(g, h), clock, None)
     if result is not None and not verify_isomorphism(g, h, result):
         raise RuntimeError("isomorphism search produced a map the checker rejects")
     return result
