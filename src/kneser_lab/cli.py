@@ -65,7 +65,8 @@ def _budget_from(args) -> SearchBudget:
 
 def _cmd_construct(args) -> int:
     g = _load_graph(args.spec)
-    print(f"{args.spec}: {g.order} vertices, {g.edge_count} edges")
+    summary = sys.stderr if args.out == "-" else sys.stdout  # keep stdout pure DIMACS
+    print(f"{args.spec}: {g.order} vertices, {g.edge_count} edges", file=summary)
     if args.out:
         text = dimacs_dumps(g)
         if args.out == "-":

@@ -47,6 +47,12 @@ class SolveOutcome:
         return self.status == "found"
 
 
+def _neighbour_lists(g: Graph) -> list[list[int]]:
+    """Each vertex's neighbours, ascending, as lists of shared int objects."""
+    vertices = list(range(g.order))  # iter_bits makes a fresh int per entry above 256
+    return [[vertices[v] for v in iter_bits(row)] for row in g.adj]
+
+
 _SUPPORT_MEMO_CAP = 65_536
 
 
@@ -61,7 +67,7 @@ def _arc_consistency(g: Graph, h: Graph):
     first read, is the union of the rows of target vertices 8i + b over the
     bits b of byte.
     """
-    nbrs = [list(iter_bits(g.adj[u])) for u in range(g.order)]
+    nbrs = _neighbour_lists(g)
     table = [[None] * 256 for _ in range(0, h.order, 8)]
     nbytes = len(table)
     memo = {}

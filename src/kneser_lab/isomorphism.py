@@ -1,17 +1,18 @@
-"""Graph isomorphism by joint colour refinement plus arc consistency.
+"""Graph isomorphism: colour refinement of g + h, then arc consistency.
 
-Both graphs are colour-refined in one shared palette, starting from the
-sizes of the connected components, and each vertex of g starts with the
-vertices of h in its colour class as candidates. `homsolver._run_search`
-searches them under arc consistency on the edges and on the non-edges. Any
-map found is re-verified by an independent checker.
+`_refine` colour-refines one graph from colours its caller chooses; g + h,
+refined from component sizes, gives both graphs colours in one palette.
+Each vertex of g starts with the vertices of h in its colour class as
+candidates, and `homsolver._run_search` searches them under arc consistency
+on the edges and on the non-edges. Any map found is re-verified by an
+independent checker.
 """
 
 from __future__ import annotations
 
 from .budget import SearchBudget, resolve_budget
-from .graphs import Graph, complement, connected_components, iter_bits, verify_homomorphism
-from .homsolver import _arc_consistency, _run_search
+from .graphs import Graph, complement, connected_components, disjoint_union, verify_homomorphism
+from .homsolver import _arc_consistency, _neighbour_lists, _run_search
 
 
 def verify_isomorphism(g: Graph, h: Graph, mapping) -> bool:
@@ -28,34 +29,21 @@ def verify_isomorphism(g: Graph, h: Graph, mapping) -> bool:
     )
 
 
-def _component_sizes(g: Graph) -> list[int]:
-    """The size of each vertex's connected component."""
-    size = [0] * g.order
-    for comp in connected_components(g):
-        for u in comp:
-            size[u] = len(comp)
-    return size
-
-
-def _joint_refinement(g: Graph, h: Graph) -> tuple[list[int], list[int]]:
-    """Color-refine both graphs in a shared palette until stable, starting
-    from component sizes; refinement sorts out degrees on its own."""
-    values = _component_sizes(g) + _component_sizes(h)
+def _ranks(values) -> list[int]:
+    """Each value's rank among the distinct values."""
     palette = {v: i for i, v in enumerate(sorted(set(values)))}
-    colors = [palette[v] for v in values]
-    n = g.order
+    return [palette[v] for v in values]
+
+
+def _refine(g: Graph, colors) -> list[int]:
+    """Colour-refine g from `colors` until the partition is stable: each round
+    ranks every vertex's (colour, sorted colours of its neighbours)."""
+    nbrs = _neighbour_lists(g)
+    colors = _ranks(colors)
     while True:
-        sig = []
-        for u in range(n):
-            nbr = tuple(sorted(colors[v] for v in iter_bits(g.adj[u])))
-            sig.append((colors[u], nbr))
-        for u in range(h.order):
-            nbr = tuple(sorted(colors[n + v] for v in iter_bits(h.adj[u])))
-            sig.append((colors[n + u], nbr))
-        palette = {v: i for i, v in enumerate(sorted(set(sig)))}
-        new = [palette[v] for v in sig]
+        new = _ranks([(c, tuple(sorted(colors[v] for v in nbr))) for c, nbr in zip(colors, nbrs)])
         if new == colors:
-            return colors[:n], colors[n:]
+            return colors
         colors = new
 
 
@@ -81,17 +69,21 @@ def _edges_and_non_edges(g: Graph, h: Graph):
 
 def are_isomorphic(g: Graph, h: Graph, budget: SearchBudget | None = None):
     """A vertex bijection g -> h keeping edges and non-edges, or None after a
-    completed search; every leaf of the search is one. The budget ticks at
-    each branching step and each candidate tried; forced placements propagate
-    without a tick. Running out raises BudgetExhausted."""
+    completed search; every leaf of the search is one. The components of g + h
+    are those of g and of h, so its refinement from component sizes colours
+    both in one palette. The budget ticks at each branching step and each
+    candidate tried; forced placements propagate without a tick. Running out
+    raises BudgetExhausted."""
     clock = resolve_budget(budget).start()
     n = g.order
     if n != h.order or g.edge_count != h.edge_count:
         return None
-    cg, ch = _joint_refinement(g, h)
-    if sorted(cg) != sorted(ch):
+    union = disjoint_union(g, h)
+    sizes = {u: len(comp) for comp in connected_components(union) for u in comp}
+    colors = _refine(union, [sizes[u] for u in range(2 * n)])
+    if sorted(colors[:n]) != sorted(colors[n:]):
         return None
-    doms = [sum(1 << w for w in range(n) if ch[w] == cg[u]) for u in range(n)]
+    doms = [sum(1 << w for w in range(n) if colors[n + w] == colors[u]) for u in range(n)]
     result = _run_search(doms, _edges_and_non_edges(g, h), clock, None)
     if result is not None and not verify_isomorphism(g, h, result):
         raise RuntimeError("isomorphism search produced a map the checker rejects")

@@ -3,8 +3,10 @@
 Everything here is deliberately written along different lines than the
 package code: plain recursion without propagation, direct subset sweeps,
 pairwise distances instead of gap arithmetic. A disagreement means a bug.
-The one exception is `reference_dsatur`, the max-scan colouring search that
-the incremental kernel in `coloring` must reproduce node for node.
+The exceptions are `reference_dsatur`, the max-scan colouring search that
+the incremental kernel in `coloring` must reproduce node for node, and
+`reference_joint_refinement`, the two-graph colour refinement whose colours
+`isomorphism._refine` on the disjoint union must reproduce.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from itertools import combinations, permutations
 
 from kneser_lab.budget import BudgetClock
 from kneser_lab.dihedral import DihedralElement, act_on_vertex, all_elements, compose
-from kneser_lab.graphs import Graph, iter_bits, label_automorphism, make_graph
+from kneser_lab.graphs import Graph, connected_components, iter_bits, label_automorphism, make_graph
 from kneser_lab.labels import CyclicElem, KSubset
 
 
@@ -163,6 +165,36 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
         all(g.has_edge(u, v) == h.has_edge(perm[u], perm[v]) for u, v in pairs)
         for perm in permutations(range(g.order))
     )
+
+
+def reference_joint_refinement(g: Graph, h: Graph) -> tuple[list[int], list[int]]:
+    """Colour-refine g and h side by side in one shared palette until stable,
+    starting from the size of each vertex's connected component."""
+
+    def component_sizes(g: Graph) -> list[int]:
+        size = [0] * g.order
+        for comp in connected_components(g):
+            for u in comp:
+                size[u] = len(comp)
+        return size
+
+    values = component_sizes(g) + component_sizes(h)
+    palette = {v: i for i, v in enumerate(sorted(set(values)))}
+    colors = [palette[v] for v in values]
+    n = g.order
+    while True:
+        sig = []
+        for u in range(n):
+            nbr = tuple(sorted(colors[v] for v in iter_bits(g.adj[u])))
+            sig.append((colors[u], nbr))
+        for u in range(h.order):
+            nbr = tuple(sorted(colors[n + v] for v in iter_bits(h.adj[u])))
+            sig.append((colors[n + u], nbr))
+        palette = {v: i for i, v in enumerate(sorted(set(sig)))}
+        new = [palette[v] for v in sig]
+        if new == colors:
+            return colors[:n], colors[n:]
+        colors = new
 
 
 def brute_independence_number(g: Graph) -> int:

@@ -11,7 +11,7 @@ from kneser_lab import cli, coloring, dihedral, families, harness
 from kneser_lab.budget import BUDGET_ENV_VAR, SearchBudget
 from kneser_lab.claims import CLAIMS
 from kneser_lab.cliques import clique_number, independence_number
-from kneser_lab.dimacs import dimacs_dumps, read_dimacs
+from kneser_lab.dimacs import dimacs_dumps, dimacs_loads, read_dimacs
 from kneser_lab.families import parse_family_spec, stable_kneser
 from kneser_lab.graphs import induced_subgraph, make_graph
 from kneser_lab.isomorphism import verify_isomorphism
@@ -240,6 +240,15 @@ def test_cli_construct_and_read_back(tmp_path, capsys):
     assert read_dimacs(out) == stable_kneser(6, 2, 2)
     printed = capsys.readouterr().out
     assert "9 vertices" in printed
+
+
+def test_cli_construct_writes_dimacs_to_stdout(capsys):
+    # with --out -, stdout carries the DIMACS text alone and the summary goes
+    # to stderr, so the lab's own reader takes the output back, labels included
+    assert cli.main(["construct", "stable:n=8,k=2,s=2", "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    assert dimacs_loads(captured.out) == stable_kneser(8, 2, 2)
+    assert "20 vertices, 110 edges" in captured.err
 
 
 def test_cli_shifts_predict(capsys):

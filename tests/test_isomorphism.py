@@ -9,22 +9,68 @@ from helpers import (
     path_graph,
     random_graph,
     reference_arc_consistency,
+    reference_joint_refinement,
 )
 from kneser_lab.budget import BudgetExhausted, SearchBudget
-from kneser_lab.families import stable_kneser
-from kneser_lab.graphs import cartesian_product, complement, complete_graph, iter_bits, make_graph
-from kneser_lab.isomorphism import (
-    _edges_and_non_edges,
-    _joint_refinement,
-    are_isomorphic,
-    verify_isomorphism,
+from kneser_lab.dihedral import enumerate_shifts
+from kneser_lab.families import cayley_dihedral, circular_graph, cycle_power, stable_kneser
+from kneser_lab.graphs import (
+    cartesian_product,
+    complement,
+    complete_graph,
+    connected_components,
+    disjoint_union,
+    iter_bits,
+    make_graph,
 )
+from kneser_lab.isomorphism import _edges_and_non_edges, _refine, are_isomorphic, verify_isomorphism
 
 
 def _relabelled(g, seed):
     """g with its vertices renamed by a seeded random permutation, unlabelled."""
     perm = random.Random(seed).sample(range(g.order), g.order)
     return make_graph(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _union_colours(g, h):
+    """`_refine` on g + h from component sizes, split back into g and h."""
+    union = disjoint_union(g, h)
+    size = {u: len(comp) for comp in connected_components(union) for u in comp}
+    colors = _refine(union, [size[u] for u in range(union.order)])
+    return colors[: g.order], colors[g.order :]
+
+
+def _oracle_pairs():
+    rng = random.Random(2215)
+    for _ in range(120):
+        n = rng.randint(0, 12)
+        g = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+        yield g, rng.choice((_relabelled(g, rng.randrange(1 << 30)), random_graph(rng, n, 0.5)))
+    for _ in range(40):
+        # disconnected, with components of unequal sizes on either side
+        a, b, c = (random_graph(rng, rng.randint(1, 6), 0.6) for _ in range(3))
+        g = disjoint_union(a, b)
+        yield g, rng.choice((_relabelled(g, rng.randrange(1 << 30)), disjoint_union(c, a)))
+    yield cycle_graph(6), make_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    for k in (2, 3, 4):  # the iso grid
+        for s in (2, 3, 4):
+            yield circular_graph(k * s + 1, k), stable_kneser(k * s + 1, k, s)
+    for n, s in ((6, 2), (7, 2), (8, 3)):  # the homidem-negative-shape rows
+        piece = cycle_power(n, s - 1)
+        cay = cayley_dihedral(n, enumerate_shifts(stable_kneser(n, 2, s)))
+        yield cay, disjoint_union(piece, piece)
+    h = stable_kneser(12, 2, 2)
+    yield _relabelled(h, 3), h
+
+
+def test_union_refinement_matches_the_joint_reference():
+    # refining g + h from component sizes must give the colours of the
+    # former two-graph refinement, vertex for vertex
+    pairs = 0
+    for g, h in _oracle_pairs():
+        assert _union_colours(g, h) == reference_joint_refinement(g, h)
+        pairs += 1
+    assert pairs == 174
 
 
 def test_k3_vs_path_not_isomorphic():
@@ -170,7 +216,7 @@ def test_forced_placements_cost_no_search_node():
     g = random_graph(rng, 8, 0.4)
     perm = rng.sample(range(8), 8)
     h = make_graph(8, [(perm[u], perm[v]) for u, v in g.edges()])
-    assert len(set(_joint_refinement(g, h)[0])) == 8
+    assert len(set(_union_colours(g, h)[0])) == 8
     assert are_isomorphic(g, h, SearchBudget(1, None)) == tuple(perm)
 
 
