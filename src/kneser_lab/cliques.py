@@ -25,11 +25,13 @@ class ExtremalSet:
     nodes: int
 
 
-def _color_sort(pmask: int, adj) -> tuple[list[int], list[int]]:
+def _color_sort(pmask: int, adj, kmin: int) -> tuple[list[int], list[int]]:
     """Greedy color classes of the candidate set; returns vertices and bounds.
 
     bounds[i] is the number of the color class of verts[i]; any clique
-    inside verts[: i + 1] has at most bounds[i] vertices.
+    inside verts[: i + 1] has at most bounds[i] vertices. Only the vertices of
+    classes numbered kmin or more are listed: the others cannot be reached by
+    a branch that must find a clique of kmin vertices among the candidates.
     """
     verts: list[int] = []
     bounds: list[int] = []
@@ -41,8 +43,9 @@ def _color_sort(pmask: int, adj) -> tuple[list[int], list[int]]:
         while avail:
             low = avail & -avail
             v = low.bit_length() - 1
-            verts.append(v)
-            bounds.append(color)
+            if color >= kmin:
+                verts.append(v)
+                bounds.append(color)
             avail &= ~adj[v]
             avail ^= low
             rest ^= low
@@ -76,7 +79,7 @@ def _clique_search(g: Graph, clock, leader) -> tuple[int, tuple[int, ...]]:
     # candidates, their bounds, the next index and the candidates left
     clock.tick()
     avail = (1 << n) - 1
-    verts, bounds = _color_sort(avail, adj)
+    verts, bounds = _color_sort(avail, adj, 1)
     i = n - 1
     stack = []
     while True:
@@ -96,7 +99,7 @@ def _clique_search(g: Graph, clock, leader) -> tuple[int, tuple[int, ...]]:
             stack.append((verts, bounds, i, avail))
             current.append(v)
             size += 1
-            verts, bounds = _color_sort(pmask, adj)
+            verts, bounds = _color_sort(pmask, adj, best_size - size + 1)
             i, avail = len(verts) - 1, pmask
         if not stack:
             break

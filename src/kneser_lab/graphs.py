@@ -178,20 +178,18 @@ def delete_vertex(g: Graph, v: int) -> Graph:
 
 
 def connected_components(g: Graph) -> list[list[int]]:
-    seen = [False] * g.order
+    """The components of g by least vertex, each ascending: a frontier search
+    ORs the rows of the frontier and masks off what the component holds."""
+    rest = (1 << g.order) - 1
     comps = []
-    for u in range(g.order):
-        if seen[u]:
-            continue
-        comp = []
-        stack = [u]
-        seen[u] = True
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in iter_bits(g.adj[x]):
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        comps.append(sorted(comp))
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            for x in iter_bits(frontier):
+                reach |= g.adj[x]
+            frontier = reach & ~comp
+            comp |= frontier
+        rest &= ~comp
+        comps.append(list(iter_bits(comp)))
     return comps

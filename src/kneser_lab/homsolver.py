@@ -65,9 +65,11 @@ def _arc_consistency(g: Graph, h: Graph):
     `_SUPPORT_MEMO_CAP` supports computed are kept for every later call. A miss
     ORs one table row per byte of the domain: `table[i][byte]`, filled when
     first read, is the union of the rows of target vertices 8i + b over the
-    bits b of byte.
+    bits b of byte. A support that is the whole target narrows no domain, since
+    every domain is a set of target vertices, so its neighbour sweep is skipped.
     """
     nbrs = _neighbour_lists(g)
+    full = (1 << h.order) - 1
     table = [[None] * 256 for _ in range(0, h.order, 8)]
     nbytes = len(table)
     memo = {}
@@ -90,6 +92,8 @@ def _arc_consistency(g: Graph, h: Graph):
                         support |= union
                 if len(memo) < _SUPPORT_MEMO_CAP:
                     memo[d] = support
+            if support == full:
+                continue
             for w in nbrs[v]:
                 new = doms[w] & support
                 if new != doms[w]:

@@ -6,7 +6,9 @@ pairwise distances instead of gap arithmetic. A disagreement means a bug.
 The exceptions are `reference_dsatur`, the max-scan colouring search that
 the incremental kernel in `coloring` must reproduce node for node, and
 `reference_joint_refinement`, the two-graph colour refinement whose colours
-`isomorphism._refine` on the disjoint union must reproduce.
+`isomorphism._refine` on the disjoint union must reproduce, and
+`reference_components`, the vertex-by-vertex walk whose components
+`graphs.connected_components` must list in the same order.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import combinations, permutations
 
 from kneser_lab.budget import BudgetClock
 from kneser_lab.dihedral import DihedralElement, act_on_vertex, all_elements, compose
-from kneser_lab.graphs import Graph, connected_components, iter_bits, label_automorphism, make_graph
+from kneser_lab.graphs import Graph, iter_bits, label_automorphism, make_graph
 from kneser_lab.labels import CyclicElem, KSubset
 
 
@@ -167,13 +169,35 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
     )
 
 
+def reference_components(g: Graph) -> list[list[int]]:
+    """Connected components by a depth-first walk over each vertex's
+    neighbours, in order of least vertex, each sorted."""
+    seen = [False] * g.order
+    comps = []
+    for u in range(g.order):
+        if seen[u]:
+            continue
+        comp = []
+        stack = [u]
+        seen[u] = True
+        while stack:
+            x = stack.pop()
+            comp.append(x)
+            for y in iter_bits(g.adj[x]):
+                if not seen[y]:
+                    seen[y] = True
+                    stack.append(y)
+        comps.append(sorted(comp))
+    return comps
+
+
 def reference_joint_refinement(g: Graph, h: Graph) -> tuple[list[int], list[int]]:
     """Colour-refine g and h side by side in one shared palette until stable,
     starting from the size of each vertex's connected component."""
 
     def component_sizes(g: Graph) -> list[int]:
         size = [0] * g.order
-        for comp in connected_components(g):
+        for comp in reference_components(g):
             for u in comp:
                 size[u] = len(comp)
         return size

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from helpers import audit_graph, cycle_graph, empty_graph, path_graph, random_graph
+from helpers import (
+    audit_graph,
+    cycle_graph,
+    empty_graph,
+    path_graph,
+    random_graph,
+    reference_components,
+)
 from kneser_lab.graphs import (
     GraphError,
     cartesian_product,
@@ -128,6 +135,18 @@ def test_disjoint_union_component_count_adds():
     assert len(connected_components(both)) == len(connected_components(g)) + len(
         connected_components(h)
     )
+
+
+def test_connected_components_match_reference_walk():
+    rng = random.Random(29)
+    isolated = 0
+    for order in range(15):
+        for p in (0.05, 0.15, 0.3):
+            g = random_graph(rng, order, p)
+            comps = connected_components(g)
+            assert comps == reference_components(g)
+            isolated += sum(len(c) == 1 for c in comps)
+    assert isolated > 0
 
 
 def test_induced_subgraph_full_is_identity():

@@ -421,6 +421,21 @@ def _hom_refute_calls():
     return calls
 
 
+def test_hom_refute_trees_are_pinned():
+    # a propagation change that alters a search tree shows here first
+    outcomes = [call() for call in _hom_refute_calls()]
+    assert [(out.status, out.nodes) for out in outcomes] == [
+        ("none", 28),
+        ("none", 42),
+        ("none", 153),
+        ("none", 754),
+        ("core", 248),
+        ("core", 638),
+        ("core", 585),
+        ("core", 67),
+    ]
+
+
 @pytest.mark.parametrize("cap", [0, 1])
 def test_support_memo_does_not_change_searches(monkeypatch, cap):
     rng = random.Random(20)
