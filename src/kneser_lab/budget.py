@@ -66,12 +66,17 @@ def resolve_budget(budget: SearchBudget | None) -> SearchBudget:
 
 
 class BudgetClock:
-    """Mutable accounting for one public solver call and all its sub-searches."""
+    """Mutable accounting for one public solver call and all its sub-searches.
+
+    The wall clock is read every 2048 nodes. `tick` makes one comparison per
+    node, against `_next`, the next count at which a limit can trip.
+    """
 
     def __init__(self, budget: SearchBudget):
         self.node_limit = budget.node_limit
         self.time_limit = budget.time_limit
         self.nodes = 0
+        self._next = 0  # the first tick sets it
         self._t0 = time.monotonic()
 
     def elapsed(self) -> float:
@@ -79,12 +84,22 @@ class BudgetClock:
 
     def tick(self) -> None:
         self.nodes += 1
+        if self.nodes >= self._next:
+            self._check()
+
+    def _check(self) -> None:
+        """Raise if a limit trips at `nodes`, else set `_next` to the node
+        limit + 1 or, with a time limit, the next multiple of 2048 if that
+        comes first."""
         if self.node_limit is not None and self.nodes > self.node_limit:
             raise BudgetExhausted(self.nodes, self.elapsed())
-        # check the wall clock sparingly
         if (
             self.time_limit is not None
             and self.nodes % 2048 == 0
             and self.elapsed() > self.time_limit
         ):
             raise BudgetExhausted(self.nodes, self.elapsed())
+        nxt = math.inf if self.node_limit is None else self.node_limit + 1
+        if self.time_limit is not None:
+            nxt = min(nxt, (self.nodes // 2048 + 1) * 2048)
+        self._next = nxt

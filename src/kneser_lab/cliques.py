@@ -25,8 +25,11 @@ class ExtremalSet:
     nodes: int
 
 
-def _color_sort(pmask: int, adj, kmin: int) -> tuple[list[int], list[int]]:
+def _color_sort(pmask: int, nonadj, kmin: int) -> tuple[list[int], list[int]]:
     """Greedy color classes of the candidate set; returns vertices and bounds.
+
+    nonadj[v] is every vertex but v and its neighbours, so a class sheds the
+    neighbours of each vertex it takes with one AND.
 
     bounds[i] is the number of the color class of verts[i]; any clique
     inside verts[: i + 1] has at most bounds[i] vertices. Only the vertices of
@@ -46,8 +49,7 @@ def _color_sort(pmask: int, adj, kmin: int) -> tuple[list[int], list[int]]:
             if color >= kmin:
                 verts.append(v)
                 bounds.append(color)
-            avail &= ~adj[v]
-            avail ^= low
+            avail &= nonadj[v]
             rest ^= low
     return verts, bounds
 
@@ -67,6 +69,8 @@ def _clique_search(g: Graph, clock, leader) -> tuple[int, tuple[int, ...]]:
     if n == 0:
         return 0, ()
     adj = g.adj
+    full = (1 << n) - 1
+    nonadj = [full & ~(row | 1 << v) for v, row in enumerate(adj)]
     orbit = [0] * n  # orbit[l]: the vertices led by l
     for u, l in enumerate(leader):
         orbit[l] |= 1 << u
@@ -78,8 +82,8 @@ def _clique_search(g: Graph, clock, leader) -> tuple[int, tuple[int, ...]]:
     # depth first on an explicit stack of suspended frames: colour-sorted
     # candidates, their bounds, the next index and the candidates left
     clock.tick()
-    avail = (1 << n) - 1
-    verts, bounds = _color_sort(avail, adj, 1)
+    avail = full
+    verts, bounds = _color_sort(avail, nonadj, 1)
     i = n - 1
     stack = []
     while True:
@@ -99,7 +103,7 @@ def _clique_search(g: Graph, clock, leader) -> tuple[int, tuple[int, ...]]:
             stack.append((verts, bounds, i, avail))
             current.append(v)
             size += 1
-            verts, bounds = _color_sort(pmask, adj, best_size - size + 1)
+            verts, bounds = _color_sort(pmask, nonadj, best_size - size + 1)
             i, avail = len(verts) - 1, pmask
         if not stack:
             break

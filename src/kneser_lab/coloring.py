@@ -56,10 +56,11 @@ def _dsatur(g: Graph, k: int, tick) -> tuple[int, ...] | None:
     sees = [0] * k  # sees[c]: vertices that were uncoloured when a neighbour got c
     coloured = 0
     stack = []  # (vertex, its level, colour, used before, neighbours raised)
+    depth = 0  # len(stack)
     used = 0
     while True:
         tick()
-        if len(stack) == n:
+        if depth == n:
             colors = [0] * n
             for u, _, c, _, _ in stack:
                 colors[order[u]] = c
@@ -70,19 +71,19 @@ def _dsatur(g: Graph, k: int, tick) -> tuple[int, ...] | None:
         bit = level[s] & -level[s]
         u = bit.bit_length() - 1
         level[s] ^= bit
-        c = -1
+        c = 0
         while True:  # the next colour for u, backtracking while none is left
             # new colours enter in index order, so cap at one fresh colour
-            limit = min(used + 1, k)
-            c += 1
-            while c < limit and sees[c] >> u & 1:
+            limit = used + 1 if used < k else k
+            while c < limit and sees[c] & bit:
                 c += 1
             if c < limit:
                 break
             level[s] |= bit
-            if not stack:
+            if not depth:
                 return None
             u, s, c, used, raised = stack.pop()
+            depth -= 1
             bit = 1 << u
             coloured ^= bit
             sees[c] ^= raised
@@ -94,8 +95,10 @@ def _dsatur(g: Graph, k: int, tick) -> tuple[int, ...] | None:
                     level[t - 1] |= x
                     raised ^= x
                 t += 1
+            c += 1
         raised = adj[u] & ~(sees[c] | coloured)
         stack.append((u, s, c, used, raised))
+        depth += 1
         coloured |= bit
         sees[c] |= raised
         t = used  # saturation is at most `used`; raise top-down, once each

@@ -85,6 +85,10 @@ def complete_graph(n: int) -> Graph:
 def verify_homomorphism(g: Graph, h: Graph, mapping) -> bool:
     """Independent check that mapping sends every edge of g to an edge of h.
 
+    A row whose degree exceeds its byte count is checked as one set: the
+    images of its neighbours, ORed from tables of 16 masks per 4 source
+    vertices (each filled the first time a row reads it), must lie in the
+    row of its own image. Sparser rows are walked edge by edge.
     Automorphisms, isomorphisms, colourings (maps into K_c) and cliques (maps
     from K_m) are all checked through it; it shares nothing with the searches.
     """
@@ -93,19 +97,52 @@ def verify_homomorphism(g: Graph, h: Graph, mapping) -> bool:
     if any(type(m) is not int or not 0 <= m < h.order for m in mapping):
         return False
     hadj = h.adj
-    for u in range(g.order):
+    nbytes = (g.order + 7) // 8
+    tables = [None] * nbytes  # tables[j]: the image table of byte j, vertices 8j..8j+7
+    for u, grow in enumerate(g.adj):
         row = hadj[mapping[u]]
-        for d in iter_bits(g.adj[u] >> u):  # each edge once, as u ~ u + d
-            if not row >> mapping[u + d] & 1:
+        if grow.bit_count() > nbytes:
+            image = 0
+            for j, byte in enumerate(grow.to_bytes(nbytes, "little")):
+                if byte:
+                    table = tables[j]
+                    if table is None:
+                        table = tables[j] = _byte_image_table(mapping, 8 * j)
+                    image |= table[byte & 15] | table[16 + (byte >> 4)]
+            if image & ~row:
                 return False
+        else:
+            rest = grow >> u  # each edge once, as u ~ u + d
+            while rest:
+                low = rest & -rest
+                if not row >> mapping[u + low.bit_length() - 1] & 1:
+                    return False
+                rest ^= low
     return True
+
+
+def _byte_image_table(mapping, base: int) -> list[int]:
+    """Entry x < 16 is the set of images of the vertices base + i for the bits
+    i of x, and entry 16 + x the same for base + 4 + i; bits past the last
+    vertex add nothing."""
+    table = []
+    for start in (base, base + 4):
+        nibble = [0]
+        for v in range(start, min(start + 4, len(mapping))):
+            bit = 1 << mapping[v]
+            nibble += [mask | bit for mask in nibble]
+        table += nibble + [0] * (16 - len(nibble))
+    return table
 
 
 def label_automorphism(g: Graph, act) -> tuple[int, ...] | None:
     """The automorphism of g sending the vertex labelled x to the one labelled act(x),
-    or None when some act(x) is not a label of g or the map is not one. A
-    bijective edge-preserving self-map of a finite graph is an automorphism.
+    or None when g has no labels, some act(x) is not a label of g or the map
+    is not one. A bijective edge-preserving self-map of a finite graph is an
+    automorphism.
     """
+    if g.labels is None:
+        return None
     index = g.label_index()
     try:
         perm = tuple(index[act(label)] for label in g.labels)

@@ -169,6 +169,12 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
     )
 
 
+def reference_is_homomorphism(g: Graph, h: Graph, mapping) -> bool:
+    """Edge by edge: every edge u ~ v of g lands on an edge of h. The mapping
+    must be a well-formed list of target vertices, one per vertex of g."""
+    return all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges())
+
+
 def reference_components(g: Graph) -> list[list[int]]:
     """Connected components by a depth-first walk over each vertex's
     neighbours, in order of least vertex, each sorted."""

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -14,6 +15,8 @@ from kneser_lab import coloring
 from kneser_lab.budget import BudgetExhausted, SearchBudget
 from kneser_lab.cliques import clique_number
 from kneser_lab.coloring import (
+    ColoringResult,
+    CriticalityReport,
     _colorable,
     _dsatur,
     _no_tick,
@@ -105,18 +108,6 @@ def test_dsatur_kernel_matches_max_scan_reference():
             assert new.nodes == old.nodes
 
 
-# chi nodes of the labelled graph, whose clique bound searches one root per
-# orbit of the group `label_orbits` verifies
-ORBIT_NODES = {
-    "stable:n=10,k=2,s=2": 5_562,
-    "stable:n=9,k=3,s=2": 6_133,
-    "kneser:n=9,k=2": 1_492,
-    "kneser:n=9,k=3": 2_227,
-    "kneser:n=10,k=4": 4_185,
-    "stable:n=11,k=2,s=2": 84_277,
-}
-
-
 @pytest.mark.parametrize(
     "text, nodes, chi",
     [
@@ -131,11 +122,57 @@ ORBIT_NODES = {
 def test_chi_exact_search_trees_are_pinned(text, nodes, chi):
     # a pruning change must update these counts on purpose; `nodes` is the
     # unreduced search, on a copy without labels and so without a group
-    g = parse_family_spec(text).build()
-    plain = chromatic_number(strip_labels(g))
+    plain = chromatic_number(strip_labels(parse_family_spec(text).build()))
     assert (plain.nodes, plain.chi) == (nodes, chi)
-    result = chromatic_number(g)
-    assert (result.nodes, result.chi) == (ORBIT_NODES[text], chi)
+
+
+def _chi_exact_calls():
+    """The calls of the chi-exact benchmark workload, as it lists them: six chi
+    searches on labelled graphs, whose clique bound searches one root per
+    orbit of the group `label_orbits` verifies, three criticality audits,
+    omega(SG(30,5,5)) and chi(SG(12,2,2)) at its 50,000-node cap."""
+    unlimited = SearchBudget(None, None)
+    calls = [
+        partial(chromatic_number, parse_family_spec(text).build(), unlimited)
+        for text in ("stable:n=11,k=2,s=2", "stable:n=10,k=2,s=2", "stable:n=9,k=3,s=2",
+                     "kneser:n=9,k=2", "kneser:n=9,k=3", "kneser:n=10,k=4")
+    ]
+    calls += [
+        partial(is_chi_critical, parse_family_spec(text).build(), unlimited)
+        for text in ("stable:n=10,k=2,s=2", "stable:n=9,k=2,s=2", "kneser:n=7,k=2")
+    ]
+    calls.append(partial(clique_number, stable_kneser(30, 5, 5), unlimited))
+    calls.append(partial(chromatic_number, stable_kneser(12, 2, 2), SearchBudget(50_000, None)))
+    return calls
+
+
+def _pinned(call):
+    try:
+        result = call()
+    except BudgetExhausted as stop:
+        return ("exhausted", stop.nodes)
+    if isinstance(result, CriticalityReport):
+        return (result.critical, result.per_vertex)
+    if isinstance(result, ColoringResult):
+        return (result.chi, result.nodes)
+    return (result.size, result.nodes)
+
+
+def test_chi_exact_calls_are_pinned():
+    # a DSATUR or clique change that alters a search tree shows here first
+    assert [_pinned(call) for call in _chi_exact_calls()] == [
+        (9, 84_277),
+        (8, 5_562),
+        (5, 6_133),
+        (7, 1_492),
+        (5, 2_227),
+        (4, 4_185),
+        (True, (7,) * 35),
+        (True, (6,) * 27),
+        (False, (5,) * 21),
+        (6, 23_345),
+        ("exhausted", 50_001),
+    ]
 
 
 def test_criticality_small():

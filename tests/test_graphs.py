@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -9,7 +10,11 @@ from helpers import (
     path_graph,
     random_graph,
     reference_components,
+    reference_is_homomorphism,
 )
+from kneser_lab import graphs
+from kneser_lab.dihedral import act_on_vertex, rho, rotation
+from kneser_lab.families import stable_kneser
 from kneser_lab.graphs import (
     GraphError,
     cartesian_product,
@@ -20,7 +25,9 @@ from kneser_lab.graphs import (
     disjoint_union,
     induced_subgraph,
     iter_bits,
+    label_automorphism,
     make_graph,
+    verify_homomorphism,
 )
 from kneser_lab.isomorphism import are_isomorphic
 
@@ -147,6 +154,82 @@ def test_connected_components_match_reference_walk():
             assert comps == reference_components(g)
             isolated += sum(len(c) == 1 for c in comps)
     assert isolated > 0
+
+
+def _greedy_colouring(g):
+    colours = []
+    for u in range(g.order):
+        taken = {colours[v] for v in iter_bits(g.adj[u]) if v < u}
+        colours.append(next(c for c in range(g.order) if c not in taken))
+    return colours
+
+
+def _corrupted(rng, mapping, target_order):
+    bad = list(mapping)
+    if bad:
+        bad[rng.randrange(len(bad))] = rng.randrange(target_order)
+    return bad
+
+
+def _map_checks(rng):
+    """(g, h, mapping) triples on seeded random graphs of order 0-70:
+    bijections onto a relabelled copy and onto g itself, proper colourings
+    and random maps into small complete and random targets, and each valid
+    map with one entry replaced."""
+    checks = []
+    for order in range(71):
+        g = random_graph(rng, order, rng.choice([0.1, 0.3, 0.6, 0.9]))
+        perm = list(range(order))
+        rng.shuffle(perm)
+        copy = make_graph(order, [(perm[u], perm[v]) for u, v in g.edges()])
+        colours = _greedy_colouring(g)
+        k = max(colours, default=0) + 1
+        small = random_graph(rng, rng.randint(1, 6), 0.7)
+        checks += [
+            (g, copy, perm),
+            (g, copy, _corrupted(rng, perm, order)),
+            (g, g, perm),
+            (g, complete_graph(k), colours),
+            (g, complete_graph(k), _corrupted(rng, colours, k)),
+            (g, complete_graph(k), [rng.randrange(k) for _ in range(order)]),
+            (g, small, [rng.randrange(small.order) for _ in range(order)]),
+        ]
+    return checks
+
+
+def test_map_checker_matches_edge_by_edge_reference(monkeypatch):
+    # rows denser than their byte count are checked as one image set, the
+    # rest edge by edge; orders 0-70 give partial last bytes and nibbles
+    tables = []
+    build = graphs._byte_image_table
+
+    def counted(mapping, base):
+        tables.append(base)
+        return build(mapping, base)
+
+    monkeypatch.setattr(graphs, "_byte_image_table", counted)
+    rng = random.Random(24)
+    checks = _map_checks(rng)
+    g = stable_kneser(30, 5, 5)  # degree 371 against 95 bytes a row
+    for gen in (rotation(1, 30), rho(1, 30)):
+        perm = label_automorphism(g, partial(act_on_vertex, gen))
+        swapped = list(perm)
+        swapped[0], swapped[1] = swapped[1], swapped[0]
+        checks += [(g, g, perm), (g, g, swapped), (g, g, _corrupted(rng, perm, g.order))]
+    verdicts = []
+    for g, h, mapping in checks:
+        verdict = verify_homomorphism(g, h, mapping)
+        assert verdict == reference_is_homomorphism(g, h, mapping)
+        verdicts.append(verdict)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+    dense = [g.degree(u) > (g.order + 7) // 8 for g, _, _ in checks for u in range(g.order)]
+    assert dense.count(True) > 1000 and dense.count(False) > 1000
+    assert len(tables) > 1000
+
+
+def test_label_automorphism_of_unlabelled_graph_is_none():
+    assert label_automorphism(complete_graph(3), lambda x: x) is None
+    assert label_automorphism(empty_graph(0), lambda x: x) is None
 
 
 def test_induced_subgraph_full_is_identity():

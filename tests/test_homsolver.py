@@ -60,6 +60,9 @@ def test_verify_homomorphism_basics():
     assert not verify_homomorphism(g, g, (0, 1, 2))
     assert not verify_homomorphism(g, g, (0.0, 1, 2, 3))
     assert not verify_homomorphism(g, g, ("0", 1, 2, 3))
+    assert not verify_homomorphism(g, g, (False, True, 0, 1))
+    assert not verify_homomorphism(g, g, (0, 1, 2, 4))
+    assert not verify_homomorphism(g, g, (-1, 1, 2, 3))
 
 
 def test_explicit_circulant_map_is_hom_both_ways():
