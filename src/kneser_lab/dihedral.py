@@ -18,14 +18,15 @@ i.e. the automorphisms that move every vertex onto one of its neighbors.
 `label_orbits` is the one reader of the symmetries labels declare: it
 verifies r1 and p1 (or +1 on residues) once per graph and reads orbits,
 stabilisers and each element's vertex images off the cycles of r1, never
-multiplying the group out. Shifts are tested element by element on those
-images; each public solver calls it once and hands its orbits to its searches.
+multiplying the group out. A generator's image of a label is looked up among
+g's own labels by a plain key, so no label is built per vertex. Shifts are
+tested element by element on those images; each public solver calls it once
+and hands its orbits to its searches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .graphs import Graph, GraphError, label_automorphism
 from .labels import CyclicElem, KSubset
@@ -153,6 +154,10 @@ def label_orbits(g: Graph):
     n >= 3 (elementwise). Only r = r1 (+1 on residues) and p1 are checked,
     by `label_automorphism`: every element is a power r^i, alone or after p1
     (x -> c - x is r^(c-2) after p1), so it is a product of automorphisms.
+    A generator maps each label's key (a k-subset's elements through its
+    point table, re-sorted; a residue's value; a dihedral label's (sign,
+    offset) by `compose`'s formula), and the image is looked up among g's own
+    labels by that key; a key that is no label fails the generator.
     p1 maps r-cycles onto r-cycles: v's orbit is its r-cycle, of length m,
     and that cycle's image. r^i fixes v when m divides i, and r^i after p1
     when r^i moves p1(v) to v. Every image is read off the cycles, so no
@@ -163,17 +168,24 @@ def label_orbits(g: Graph):
         isinstance(l, CyclicElem) and l.modulus == first.modulus for l in labels
     ):
         n = first.modulus
-        acts = [lambda lab: CyclicElem((lab.value + 1) % n, n)]
+        keys = {lab.value: lab for lab in labels}
+        acts = [lambda lab: keys[(lab.value + 1) % n]]
     elif isinstance(first, DihedralElement) and all(
         isinstance(l, DihedralElement) and l.n == first.n for l in labels
     ):
         n = first.n
-        acts = [partial(compose, gen) for gen in (rotation(1, n), rho(1, n))]
+        keys = {(lab.sign, lab.offset): lab for lab in labels}
+        acts = [
+            lambda lab, a=gen: keys[a.sign * lab.sign, (a.sign * lab.offset + a.offset) % n]
+            for gen in (rotation(1, n), rho(1, n))
+        ]
     elif isinstance(first, KSubset) and first.ambient >= 3 and all(
         isinstance(l, KSubset) and l.ambient == first.ambient for l in labels
     ):
         n = first.ambient
-        acts = [partial(act_on_vertex, gen) for gen in (rotation(1, n), rho(1, n))]
+        keys = {lab.elements: lab for lab in labels}
+        tables = [(0, *map(gen.apply, range(1, n + 1))) for gen in (rotation(1, n), rho(1, n))]
+        acts = [lambda lab, pt=pt: keys[tuple(sorted([pt[x] for x in lab.elements]))] for pt in tables]
     else:
         return None
     gens = [label_automorphism(g, act) for act in acts]

@@ -8,18 +8,23 @@ which carry labels through DIMACS comments, live in `dimacs`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
 
 
 @dataclass(frozen=True, order=True)
 class KSubset:
-    """Strictly increasing k-subset of {1, ..., ambient}."""
+    """Strictly increasing k-subset of {1, ..., ambient}. A valid subset is
+    accepted by one test (non-empty, first >= 1, last <= ambient, strictly
+    increasing); only when it fails do the separate checks name the error."""
 
     elements: tuple[int, ...]
     ambient: int
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        els = self.elements
+        els = tuple(self.elements)
+        object.__setattr__(self, "elements", els)
+        if els and 1 <= els[0] and els[-1] <= self.ambient and all(map(lt, els, els[1:])):
+            return
         if not els:
             raise ValueError("subset must be non-empty")
         if any(e < 1 or e > self.ambient for e in els):

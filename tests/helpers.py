@@ -63,7 +63,9 @@ def declared_elements(g: Graph) -> list[DihedralElement]:
 
 
 def label_action(e: DihedralElement, label):
-    """The element e acting on one vertex label of any of the three kinds."""
+    """The element e acting on one vertex label of any of the three kinds,
+    built as a fresh label: the oracle for `label_orbits`, which looks each
+    image up among the graph's own labels instead."""
     if isinstance(label, CyclicElem):
         return CyclicElem((label.value + e.offset) % label.modulus, label.modulus)
     if isinstance(label, KSubset):

@@ -43,9 +43,9 @@ from kneser_lab.families import (
     parse_family_spec,
     stable_kneser,
 )
-from kneser_lab.graphs import GraphError, induced_subgraph, label_automorphism
+from kneser_lab.graphs import Graph, GraphError, delete_vertex, induced_subgraph, label_automorphism
 from kneser_lab.harness import load_manifest
-from kneser_lab.labels import KSubset
+from kneser_lab.labels import CyclicElem, KSubset
 
 
 def _texts(elements):
@@ -194,18 +194,34 @@ def test_every_element_induces_automorphism_small_n():
                     assert g.has_edge(u, v) == g.has_edge(perm[u], perm[v])
 
 
-def test_generator_products_match_each_label_action():
-    # every element's images, read off the cycles of the verified r1 and p1,
-    # against the element's own label action verified on its own
+def _oracle_graphs():
+    """(name, graph) for every shift-grid graph, KG(7,2), KG(10,4) and one
+    or two graphs of each other label kind."""
     cfg = load_manifest()["shift_grid"]
     for k in cfg["k_values"]:
         for s in cfg["s_values"]:
             for n in range(s * k + 1, min((k + 2) * s, cfg["n_cap"]) + 1):
-                g = stable_kneser(n, k, s)
-                _, _, elements, image = label_orbits(g)
-                assert elements == all_elements(n)
-                for e in elements:
-                    assert tuple(image(e)) == label_automorphism(g, partial(act_on_vertex, e))
+                yield f"SG({n},{k},{s})", stable_kneser(n, k, s)
+    yield "KG(7,2)", kneser(7, 2)
+    yield "KG(10,4)", kneser(10, 4)
+    for text in ("circular:n=13,k=4", "circulant:n=8,conn=1,2,6,7", "caydih:n=6,gens=r1,r5,p1"):
+        yield text, parse_family_spec(text).build()
+
+
+ORACLE_GRAPHS = dict(_oracle_graphs())
+
+
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+def test_generator_products_match_each_label_action(name):
+    # every element's images, read off the cycles of the verified r1 and p1
+    # (whose images label_orbits looks up among g's own labels by key),
+    # against the element's own label action, which builds a fresh label per
+    # vertex, verified on its own
+    g = ORACLE_GRAPHS[name]
+    _, _, elements, image = label_orbits(g)
+    assert elements == declared_elements(g)
+    for e in elements:
+        assert tuple(image(e)) == label_automorphism(g, partial(label_action, e)), (name, e)
 
 
 def test_enumerate_shifts_verifies_only_the_generators(monkeypatch):
@@ -446,3 +462,35 @@ def test_parse_element():
         parse_element("q1", 8)
     with pytest.raises(ValueError):
         parse_element("r9", 8)
+
+
+def test_label_orbits_fails_where_the_constructing_actions_fail():
+    g = stable_kneser(9, 2, 2)
+    r1 = partial(label_action, rotation(1, 9))
+    # a vertex whose image is no label of the graph
+    deleted = delete_vertex(g, 0)
+    assert any(r1(lab) not in deleted.label_index() for lab in deleted.labels)
+    assert label_automorphism(deleted, r1) is None
+    assert label_orbits(deleted) is None
+    # every image a label, but r1 is no automorphism of the relabelled graph
+    swapped = Graph(g.order, g.adj, (g.labels[1], g.labels[0], *g.labels[2:]))
+    assert all(r1(lab) in swapped.label_index() for lab in swapped.labels)
+    assert label_automorphism(swapped, r1) is None
+    assert label_orbits(swapped) is None
+
+
+@pytest.mark.parametrize("text", ["stable:n=16,k=4,s=3", "circular:n=37,k=12"])
+def test_label_orbits_constructs_no_label(monkeypatch, text):
+    g = parse_family_spec(text).build()
+    built = []
+    for cls in (KSubset, CyclicElem):
+        check = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda self, check=check: built.append(self) or check(self)
+        )
+    _, fixing, elements, image = label_orbits(g)
+    for e in elements:
+        tuple(image(e))
+    for v in range(g.order):
+        fixing(v)
+    assert built == []

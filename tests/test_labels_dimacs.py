@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from helpers import cycle_graph
@@ -19,6 +21,35 @@ def test_ksubset_validation():
         KSubset((2, 7), 6)
     with pytest.raises(ValueError):
         KSubset((), 6)
+
+
+def _three_checks(els, ambient):
+    """The validation as three separate checks: non-empty, in range, strictly
+    increasing; the first that fails names the error."""
+    if not els:
+        raise ValueError("subset must be non-empty")
+    if any(e < 1 or e > ambient for e in els):
+        raise ValueError(f"elements out of range 1..{ambient}: {els}")
+    if any(a >= b for a, b in zip(els, els[1:])):
+        raise ValueError(f"elements must be strictly increasing: {els}")
+
+
+def _outcome(build, *args):
+    try:
+        build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_ksubset_one_pass_validation_matches_the_three_checks():
+    for size in range(4):
+        for els in product(range(-1, 6), repeat=size):
+            assert _outcome(KSubset, els, 4) == _outcome(_three_checks, els, 4), els
+    v = KSubset([1, 3], 4)
+    assert v.elements == (1, 3) and type(v.elements) is tuple
+    with pytest.raises(ValueError, match=r"strictly increasing: \(3, 1\)"):
+        KSubset([3, 1], 4)
 
 
 def test_ksubset_gaps_sum_to_ambient():
