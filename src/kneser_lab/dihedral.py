@@ -16,19 +16,20 @@ check the index range, and leave through `kind`, `index` and `str()`.
 The module also detects and predicts the shifts of stable Kneser graphs,
 i.e. the automorphisms that move every vertex onto one of its neighbors.
 `label_orbits` is the one reader of the symmetries labels declare: it
-verifies r1 and p1 (or +1 on residues) once per graph and reads orbits,
-stabilisers and each element's vertex images off the cycles of r1, never
-multiplying the group out. A generator's image of a label is looked up among
-g's own labels by a plain key, so no label is built per vertex. Shifts are
-tested element by element on those images; each public solver calls it once
-and hands its orbits to its searches.
+maps each vertex's plain key to its index, reads the permutations of r1 and
+p1 (or +1 on residues) off that map, so no label is built or hashed, and
+checks each once per graph with `graphs.verify_isomorphism`. Orbits,
+stabilisers and each element's vertex images are read off the cycles of r1,
+never multiplying the group out. Shifts are tested element by element on
+those images; each public solver calls it once and hands its orbits to its
+searches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, label_automorphism
+from .graphs import Graph, GraphError, verify_isomorphism
 from .labels import CyclicElem, KSubset
 
 
@@ -149,15 +150,16 @@ def label_orbits(g: Graph):
     element to the image of each vertex in turn) for the group g's labels
     declare, or None if a generator check fails or g declares no group.
 
-    The group is the n rotations on residues mod n, and all 2n elements on
-    dihedral-element labels (by left multiplication) and on k-subsets of [n],
-    n >= 3 (elementwise). Only r = r1 (+1 on residues) and p1 are checked,
-    by `label_automorphism`: every element is a power r^i, alone or after p1
-    (x -> c - x is r^(c-2) after p1), so it is a product of automorphisms.
-    A generator maps each label's key (a k-subset's elements through its
-    point table, re-sorted; a residue's value; a dihedral label's (sign,
-    offset) by `compose`'s formula), and the image is looked up among g's own
-    labels by that key; a key that is no label fails the generator.
+    The group is the n rotations on residues mod n, and for n >= 3 all 2n
+    elements on dihedral-element labels (by left multiplication) and on
+    k-subsets of [n] (elementwise). Only r = r1 (+1 on residues) and p1 are
+    checked, by `verify_isomorphism`: every element is a power r^i, alone or
+    after p1 (x -> c - x is r^(c-2) after p1), so it is a product of
+    automorphisms. Each vertex's key (a k-subset's elements, a residue's
+    value, a dihedral label's (sign, offset)) maps to its index. A generator
+    moves a key (through its point table, re-sorted; by +1; by `compose`'s
+    formula) and the image key's index is the vertex's image; a key with no
+    vertex fails the generator.
     p1 maps r-cycles onto r-cycles: v's orbit is its r-cycle, of length m,
     and that cycle's image. r^i fixes v when m divides i, and r^i after p1
     when r^i moves p1(v) to v. Every image is read off the cycles, so no
@@ -168,28 +170,32 @@ def label_orbits(g: Graph):
         isinstance(l, CyclicElem) and l.modulus == first.modulus for l in labels
     ):
         n = first.modulus
-        keys = {lab.value: lab for lab in labels}
-        acts = [lambda lab: keys[(lab.value + 1) % n]]
-    elif isinstance(first, DihedralElement) and all(
+        keys = [lab.value for lab in labels]
+        acts = [lambda x: (x + 1) % n]
+    elif isinstance(first, DihedralElement) and first.n >= 3 and all(
         isinstance(l, DihedralElement) and l.n == first.n for l in labels
     ):
         n = first.n
-        keys = {(lab.sign, lab.offset): lab for lab in labels}
+        keys = [(lab.sign, lab.offset) for lab in labels]
         acts = [
-            lambda lab, a=gen: keys[a.sign * lab.sign, (a.sign * lab.offset + a.offset) % n]
+            lambda x, a=gen: (a.sign * x[0], (a.sign * x[1] + a.offset) % n)
             for gen in (rotation(1, n), rho(1, n))
         ]
     elif isinstance(first, KSubset) and first.ambient >= 3 and all(
         isinstance(l, KSubset) and l.ambient == first.ambient for l in labels
     ):
         n = first.ambient
-        keys = {lab.elements: lab for lab in labels}
+        keys = [lab.elements for lab in labels]
         tables = [(0, *map(gen.apply, range(1, n + 1))) for gen in (rotation(1, n), rho(1, n))]
-        acts = [lambda lab, pt=pt: keys[tuple(sorted([pt[x] for x in lab.elements]))] for pt in tables]
+        acts = [lambda x, pt=pt: tuple(sorted([pt[y] for y in x])) for pt in tables]
     else:
         return None
-    gens = [label_automorphism(g, act) for act in acts]
-    if None in gens:
+    index = {key: v for v, key in enumerate(keys)}
+    try:
+        gens = [[index[act(key)] for key in keys] for act in acts]
+    except KeyError:
+        return None
+    if not all(verify_isomorphism(g, g, perm) for perm in gens):
         return None
     r, *flips = gens
     # `rotation` rejects the residues mod 1 and 2

@@ -135,22 +135,18 @@ def _byte_image_table(mapping, base: int) -> list[int]:
     return table
 
 
-def label_automorphism(g: Graph, act) -> tuple[int, ...] | None:
-    """The automorphism of g sending the vertex labelled x to the one labelled act(x),
-    or None when g has no labels, some act(x) is not a label of g or the map
-    is not one. A bijective edge-preserving self-map of a finite graph is an
-    automorphism.
+def verify_isomorphism(g: Graph, h: Graph, mapping) -> bool:
+    """Independent check: a bijection preserving edges and non-edges both ways.
+
+    Between graphs with equally many edges, a bijection sending edges to
+    edges hits every edge of h, so it also sends non-edges to non-edges.
     """
-    if g.labels is None:
-        return None
-    index = g.label_index()
-    try:
-        perm = tuple(index[act(label)] for label in g.labels)
-    except KeyError:
-        return None
-    if len(set(perm)) == g.order and verify_homomorphism(g, g, perm):
-        return perm
-    return None
+    return (
+        g.order == h.order
+        and g.edge_count == h.edge_count
+        and verify_homomorphism(g, h, mapping)
+        and len(set(mapping)) == g.order
+    )
 
 
 def complement(g: Graph) -> Graph:

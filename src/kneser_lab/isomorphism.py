@@ -11,22 +11,8 @@ independent checker.
 from __future__ import annotations
 
 from .budget import SearchBudget, resolve_budget
-from .graphs import Graph, complement, connected_components, disjoint_union, verify_homomorphism
+from .graphs import Graph, complement, connected_components, disjoint_union, verify_isomorphism
 from .homsolver import _arc_consistency, _neighbour_lists, _run_search
-
-
-def verify_isomorphism(g: Graph, h: Graph, mapping) -> bool:
-    """Independent check: a bijection preserving edges and non-edges both ways.
-
-    Between graphs with equally many edges, a bijection sending edges to
-    edges hits every edge of h, so it also sends non-edges to non-edges.
-    """
-    return (
-        g.order == h.order
-        and g.edge_count == h.edge_count
-        and verify_homomorphism(g, h, mapping)
-        and len(set(mapping)) == g.order
-    )
 
 
 def _ranks(values) -> list[int]:

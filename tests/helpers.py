@@ -4,11 +4,14 @@ Everything here is deliberately written along different lines than the
 package code: plain recursion without propagation, direct subset sweeps,
 pairwise distances instead of gap arithmetic. A disagreement means a bug.
 The exceptions are `reference_dsatur`, the max-scan colouring search that
-the incremental kernel in `coloring` must reproduce node for node, and
+the incremental kernel in `coloring` must reproduce node for node,
 `reference_joint_refinement`, the two-graph colour refinement whose colours
-`isomorphism._refine` on the disjoint union must reproduce, and
+`isomorphism._refine` on the disjoint union must reproduce,
 `reference_components`, the vertex-by-vertex walk whose components
-`graphs.connected_components` must list in the same order.
+`graphs.connected_components` must list in the same order, and
+`label_automorphism`, which turns one element's label action into a vertex
+permutation by looking each fresh image label up among g's labels: the
+reference for the permutations `dihedral.label_orbits` reads off its keys.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from itertools import combinations, permutations
 
 from kneser_lab.budget import BudgetClock
 from kneser_lab.dihedral import DihedralElement, act_on_vertex, all_elements, compose
-from kneser_lab.graphs import Graph, iter_bits, label_automorphism, make_graph
+from kneser_lab.graphs import Graph, iter_bits, make_graph, verify_homomorphism
 from kneser_lab.labels import CyclicElem, KSubset
 
 
@@ -71,6 +74,24 @@ def label_action(e: DihedralElement, label):
     if isinstance(label, KSubset):
         return act_on_vertex(e, label)
     return compose(e, label)
+
+
+def label_automorphism(g: Graph, act) -> tuple[int, ...] | None:
+    """The automorphism of g sending the vertex labelled x to the one labelled act(x),
+    or None when g has no labels, some act(x) is not a label of g or the map
+    is not one. A bijective edge-preserving self-map of a finite graph is an
+    automorphism.
+    """
+    if g.labels is None:
+        return None
+    index = g.label_index()
+    try:
+        perm = tuple(index[act(label)] for label in g.labels)
+    except KeyError:
+        return None
+    if len(set(perm)) == g.order and verify_homomorphism(g, g, perm):
+        return perm
+    return None
 
 
 def declared_perms(g: Graph) -> dict[DihedralElement, tuple[int, ...] | None]:

@@ -10,6 +10,7 @@ from helpers import (
     declared_elements,
     declared_perms,
     label_action,
+    label_automorphism,
     named_perm,
     perm_inverse,
 )
@@ -43,7 +44,7 @@ from kneser_lab.families import (
     parse_family_spec,
     stable_kneser,
 )
-from kneser_lab.graphs import Graph, GraphError, delete_vertex, induced_subgraph, label_automorphism
+from kneser_lab.graphs import Graph, GraphError, complete_graph, delete_vertex, induced_subgraph
 from kneser_lab.harness import load_manifest
 from kneser_lab.labels import CyclicElem, KSubset
 
@@ -226,12 +227,13 @@ def test_generator_products_match_each_label_action(name):
 
 def test_enumerate_shifts_verifies_only_the_generators(monkeypatch):
     calls = []
+    check = dihedral.verify_isomorphism
 
-    def counted(g, act):
-        calls.append(act)
-        return label_automorphism(g, act)
+    def counted(g, h, perm):
+        calls.append(perm)
+        return check(g, h, perm)
 
-    monkeypatch.setattr(dihedral, "label_automorphism", counted)
+    monkeypatch.setattr(dihedral, "verify_isomorphism", counted)
     g = stable_kneser(13, 3, 4)
     assert enumerate_shifts(g) == predicted_shifts(13, 3, 4)
     assert len(calls) == 2
@@ -464,6 +466,21 @@ def test_parse_element():
         parse_element("r9", 8)
 
 
+def _relabelled(text: str) -> list[Graph]:
+    """The graph `text` builds with its labels shuffled by four seeded
+    permutations, then relabelled by one group element (vertex v takes the
+    image of its label), which keeps the declared group a group of
+    automorphisms."""
+    g, rng = parse_family_spec(text).build(), random.Random(text)
+    graphs = []
+    for _ in range(4):
+        labels = list(g.labels)
+        rng.shuffle(labels)
+        graphs.append(Graph(g.order, g.adj, tuple(labels)))
+    e = rng.choice(declared_elements(g)[1:])
+    return graphs + [Graph(g.order, g.adj, tuple(label_action(e, lab) for lab in g.labels))]
+
+
 def test_label_orbits_fails_where_the_constructing_actions_fail():
     g = stable_kneser(9, 2, 2)
     r1 = partial(label_action, rotation(1, 9))
@@ -477,20 +494,48 @@ def test_label_orbits_fails_where_the_constructing_actions_fail():
     assert all(r1(lab) in swapped.label_index() for lab in swapped.labels)
     assert label_automorphism(swapped, r1) is None
     assert label_orbits(swapped) is None
+    # no labels: no group, and no automorphism from the reference either
+    for bare in (Graph(0, ()), complete_graph(3)):
+        assert label_orbits(bare) is None
+        assert label_automorphism(bare, lambda x: x) is None
+    # relabelled graphs fail exactly where the reference rejects r1 or p1 (or
+    # +1 on residues), and otherwise every element's images are its own
+    for text in ("stable:n=9,k=2,s=2", "circular:n=13,k=4", "caydih:n=6,gens=r1,r5,p1"):
+        graphs = _relabelled(text)
+        assert label_orbits(graphs[-1]) is not None, text
+        for h in graphs:
+            gens = [e for e in declared_elements(h) if str(e) in ("r1", "p1")]
+            rejected = any(label_automorphism(h, partial(label_action, e)) is None for e in gens)
+            orbits = label_orbits(h)
+            assert (orbits is None) == rejected, text
+            if orbits is not None:
+                _, _, elements, image = orbits
+                perms = declared_perms(h)
+                assert elements == list(perms)
+                assert all(tuple(image(e)) == perms[e] for e in elements), text
 
 
-@pytest.mark.parametrize("text", ["stable:n=16,k=4,s=3", "circular:n=37,k=12"])
+@pytest.mark.parametrize(
+    "text", ["stable:n=16,k=4,s=3", "circular:n=37,k=12", "caydih:n=6,gens=r1,r5,p1"]
+)
 def test_label_orbits_constructs_no_label(monkeypatch, text):
+    # generator images are read off a map from plain keys to vertex indices:
+    # no label is built, and none is hashed
     g = parse_family_spec(text).build()
-    built = []
+    built, hashed = [], []
     for cls in (KSubset, CyclicElem):
         check = cls.__post_init__
         monkeypatch.setattr(
             cls, "__post_init__", lambda self, check=check: built.append(self) or check(self)
+        )
+    for cls in (KSubset, CyclicElem, DihedralElement):
+        digest = cls.__hash__
+        monkeypatch.setattr(
+            cls, "__hash__", lambda self, digest=digest: hashed.append(self) or digest(self)
         )
     _, fixing, elements, image = label_orbits(g)
     for e in elements:
         tuple(image(e))
     for v in range(g.order):
         fixing(v)
-    assert built == []
+    assert built == [] and hashed == []

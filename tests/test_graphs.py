@@ -7,6 +7,7 @@ from helpers import (
     audit_graph,
     cycle_graph,
     empty_graph,
+    label_automorphism,
     path_graph,
     random_graph,
     reference_components,
@@ -25,7 +26,6 @@ from kneser_lab.graphs import (
     disjoint_union,
     induced_subgraph,
     iter_bits,
-    label_automorphism,
     make_graph,
     verify_homomorphism,
 )
@@ -225,11 +225,6 @@ def test_map_checker_matches_edge_by_edge_reference(monkeypatch):
     dense = [g.degree(u) > (g.order + 7) // 8 for g, _, _ in checks for u in range(g.order)]
     assert dense.count(True) > 1000 and dense.count(False) > 1000
     assert len(tables) > 1000
-
-
-def test_label_automorphism_of_unlabelled_graph_is_none():
-    assert label_automorphism(complete_graph(3), lambda x: x) is None
-    assert label_automorphism(empty_graph(0), lambda x: x) is None
 
 
 def test_induced_subgraph_full_is_identity():

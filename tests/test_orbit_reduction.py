@@ -28,6 +28,7 @@ from kneser_lab.budget import SearchBudget
 from kneser_lab.cliques import clique_number, independence_number
 from kneser_lab.coloring import chromatic_number, is_chi_critical
 from kneser_lab.dihedral import (
+    DihedralElement,
     act_on_vertex,
     all_elements,
     enumerate_shifts,
@@ -244,6 +245,30 @@ def test_symmetry_that_fails_verification_gives_the_unreduced_search(text):
         )
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_dihedral_labels_on_fewer_than_three_points_declare_no_group(n):
+    # the dihedral group on [1] or [2] has no r1 and p1 to check: K1 or K2
+    # labelled by hand with its elements runs the unlabelled searches
+    labels = tuple(DihedralElement(1, i, n) for i in range(n))
+    g = Graph(n, complete_graph(n).adj, labels)
+    plain = strip_labels(g)
+    assert label_orbits(g) is None
+    assert chromatic_number(g) == chromatic_number(plain)
+    core, plain_core = is_core(g), is_core(plain)
+    assert (core.status, core.witness, core.nodes) == (
+        plain_core.status,
+        plain_core.witness,
+        plain_core.nodes,
+    )
+    for source in (complete_graph(2), cycle_graph(4), cycle_graph(5), make_graph(3, ())):
+        hom, plain_hom = find_homomorphism(source, g), find_homomorphism(source, plain)
+        assert (hom.status, hom.homomorphism, hom.nodes) == (
+            plain_hom.status,
+            plain_hom.homomorphism,
+            plain_hom.nodes,
+        )
+
+
 @pytest.mark.parametrize("n", [9, 10])
 def test_each_solver_call_verifies_the_generators_once(monkeypatch, n):
     # r1 and p1 of the graph the solver was given, and nothing else: not a
@@ -253,9 +278,9 @@ def test_each_solver_call_verifies_the_generators_once(monkeypatch, n):
     g = stable_kneser(n, 2, 2)
     source = stable_kneser(n, 2, 3)
     checked = []
-    check = dihedral.label_automorphism
+    check = dihedral.verify_isomorphism
     monkeypatch.setattr(
-        dihedral, "label_automorphism", lambda h, act: checked.append(h) or check(h, act)
+        dihedral, "verify_isomorphism", lambda h, k, perm: checked.append((h, k)) or check(h, k, perm)
     )
     # the symmetry is read before the first node, so a small budget suffices
     capped = SearchBudget(1_000, None)
@@ -263,4 +288,4 @@ def test_each_solver_call_verifies_the_generators_once(monkeypatch, n):
     for solve in solvers + [partial(is_core, budget=capped), partial(find_homomorphism, source)]:
         checked.clear()
         solve(g)
-        assert len(checked) == 2 and all(h is g for h in checked), solve
+        assert len(checked) == 2 and all(h is k is g for h, k in checked), solve
