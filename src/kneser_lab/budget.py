@@ -1,21 +1,19 @@
 """Node/time budgets shared by the exact solvers.
 
-Each public solver call starts one BudgetClock and runs all its sub-searches
-on it. Exhaustion is always reported as its own outcome (exception or
-"exhausted" status), never conflated with a negative answer.
+Each public solver call starts one BudgetClock from the caller's budget and
+runs all its sub-searches on it; no budget (`None`) means the default limits.
+Exhaustion is always reported as its own outcome (exception or "exhausted"
+status), never conflated with a negative answer.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 
 DEFAULT_NODE_LIMIT = 100_000_000
 DEFAULT_TIME_LIMIT = 300.0
-
-BUDGET_ENV_VAR = "KNESER_LAB_BUDGET"
 
 
 class BudgetExhausted(Exception):
@@ -41,28 +39,19 @@ class SearchBudget:
             raise ValueError(f"time limit must be finite and >= 0, got {self.time_limit}")
 
     @classmethod
-    def from_text(cls, text: str, source: str = "--budget") -> "SearchBudget":
-        """Parse "<nodes>,<seconds>"; either part may be empty to keep the
-        default. An error names `source`, where the text came from."""
+    def from_text(cls, text: str) -> "SearchBudget":
+        """Parse "<nodes>,<seconds>" from --budget; either part may be empty
+        to keep the default. An error names --budget."""
         nodes_s, _, secs_s = text.partition(",")
         try:
             nodes = int(nodes_s) if nodes_s.strip() else DEFAULT_NODE_LIMIT
             secs = float(secs_s) if secs_s.strip() else DEFAULT_TIME_LIMIT
             return cls(nodes, secs)
         except ValueError as err:
-            raise ValueError(f"{source} {text!r}: {err}") from None
-
-    @classmethod
-    def from_env(cls) -> "SearchBudget":
-        raw = os.environ.get(BUDGET_ENV_VAR, "")
-        return cls.from_text(raw, BUDGET_ENV_VAR) if raw.strip() else cls()
+            raise ValueError(f"--budget {text!r}: {err}") from None
 
     def start(self) -> "BudgetClock":
         return BudgetClock(self)
-
-
-def resolve_budget(budget: SearchBudget | None) -> SearchBudget:
-    return budget if budget is not None else SearchBudget.from_env()
 
 
 class BudgetClock:
@@ -72,7 +61,8 @@ class BudgetClock:
     node, against `_next`, the next count at which a limit can trip.
     """
 
-    def __init__(self, budget: SearchBudget):
+    def __init__(self, budget: SearchBudget | None):
+        budget = budget or SearchBudget()
         self.node_limit = budget.node_limit
         self.time_limit = budget.time_limit
         self.nodes = 0

@@ -3,6 +3,8 @@
 Verbs: construct, shifts, chi, core, hom, iso, verify, probe. Exit codes:
 0 all requested checks pass (or a definitive answer was produced), 2 some
 check failed, 3 only budget exhaustion stood in the way, 64 usage error.
+`--budget` is parsed once, before any verb runs, so a malformed budget is a
+usage error on every verb before any graph is built or file is written.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import partial
 from pathlib import Path
 
 from . import coloring, dihedral, harness, homsolver
-from .budget import BudgetExhausted, SearchBudget
+from .budget import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, BudgetExhausted, SearchBudget
 from .dimacs import dimacs_dumps, read_dimacs
 from .families import parse_family_spec
 from .graphs import Graph
@@ -56,13 +58,6 @@ def _parse_range(flag: str, text: str) -> list[int]:
     return values
 
 
-def _budget_from(args) -> SearchBudget:
-    """--budget, else KNESER_LAB_BUDGET, parsed before the command does any work."""
-    if args.budget:
-        return SearchBudget.from_text(args.budget)
-    return SearchBudget.from_env()
-
-
 def _cmd_construct(args) -> int:
     g = _load_graph(args.spec)
     summary = sys.stderr if args.out == "-" else sys.stdout  # keep stdout pure DIMACS
@@ -96,7 +91,7 @@ def _cmd_shifts(args) -> int:
 
 def _cmd_chi(args) -> int:
     g = _load_graph(args.spec)
-    result = coloring.chromatic_number(g, _budget_from(args))
+    result = coloring.chromatic_number(g, args.budget)
     cert = homsolver.certificate(
         "coloring", data=result.coloring, source=g, verified=True, nodes=result.nodes,
         seconds=result.seconds,
@@ -123,14 +118,14 @@ def _print_outcome(status: str, hom, g: Graph, h: Graph, nodes: int, seconds: fl
 
 def _cmd_core(args) -> int:
     g = _load_graph(args.spec)
-    outcome = homsolver.is_core(g, _budget_from(args))
+    outcome = homsolver.is_core(g, args.budget)
     return _print_outcome(outcome.status, outcome.witness, g, g, outcome.nodes, outcome.seconds)
 
 
 def _cmd_hom(args) -> int:
     g = _load_graph(args.source)
     h = _load_graph(args.target)
-    outcome = homsolver.find_homomorphism(g, h, _budget_from(args))
+    outcome = homsolver.find_homomorphism(g, h, args.budget)
     return _print_outcome(
         outcome.status, outcome.homomorphism, g, h, outcome.nodes, outcome.seconds
     )
@@ -139,7 +134,7 @@ def _cmd_hom(args) -> int:
 def _cmd_iso(args) -> int:
     g = _load_graph(args.first)
     h = _load_graph(args.second)
-    mapping = are_isomorphic(g, h, _budget_from(args))
+    mapping = are_isomorphic(g, h, args.budget)
     if mapping is None:
         print("not isomorphic")
     else:
@@ -152,7 +147,7 @@ def _report(args, run, *params, **options) -> list:
     """Print the rows of `run` on the command's budget and write them to
     --json, which is opened first: a bad path fails before any suite runs."""
     with open(args.json, "w") if args.json else nullcontext() as out:
-        reports = run(*params, budget=_budget_from(args), **options)
+        reports = run(*params, budget=args.budget, **options)
         for r in reports:
             print(harness.format_report_line(r))
         if out is not None:
@@ -186,7 +181,8 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--budget",
         metavar="NODES,SECONDS",
-        help="solver budget override (also via KNESER_LAB_BUDGET)",
+        help=f"limits of each solver call (default {DEFAULT_NODE_LIMIT},{DEFAULT_TIME_LIMIT:g}); "
+        "an empty part keeps its default",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -250,6 +246,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.budget = SearchBudget.from_text(args.budget or "")
         return args.fn(args)
     except BudgetExhausted as stop:
         print(f"exhausted after {stop.nodes} nodes")

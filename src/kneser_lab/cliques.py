@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .budget import SearchBudget, resolve_budget
+from .budget import BudgetClock, SearchBudget
 from .dihedral import orbit_leaders
 from .graphs import Graph, complement, complete_graph, verify_homomorphism
 
@@ -115,13 +115,13 @@ def _clique_search(g: Graph, clock, leader) -> tuple[int, tuple[int, ...]]:
 
 def clique_number(g: Graph, budget: SearchBudget | None = None) -> ExtremalSet:
     """Exact maximum clique size with one witness clique."""
-    clock = resolve_budget(budget).start()
+    clock = BudgetClock(budget)
     size, witness = _max_clique(g, clock, orbit_leaders(g))
     return ExtremalSet(size, witness, clock.nodes)
 
 
 def independence_number(g: Graph, budget: SearchBudget | None = None) -> ExtremalSet:
     """Exact maximum independent set size with one witness set."""
-    clock = resolve_budget(budget).start()
+    clock = BudgetClock(budget)
     size, witness = _max_clique(complement(g), clock, orbit_leaders(g))
     return ExtremalSet(size, witness, clock.nodes)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .budget import BudgetClock, SearchBudget, resolve_budget
+from .budget import BudgetClock, SearchBudget
 from .cliques import _max_clique
 from .dihedral import orbit_leaders
 from .families import FamilySpec
@@ -115,7 +115,7 @@ def _dsatur(g: Graph, k: int, tick) -> tuple[int, ...] | None:
 
 def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> ColoringResult:
     """Exact chromatic number with a proper coloring and a clique witness."""
-    return _chromatic(g, resolve_budget(budget).start(), orbit_leaders(g))
+    return _chromatic(g, BudgetClock(budget), orbit_leaders(g))
 
 
 def _colorable(g: Graph, k: int, tick) -> tuple[int, ...] | None:
@@ -159,7 +159,7 @@ def is_chi_critical(g: Graph, budget: SearchBudget | None = None) -> Criticality
     of each orbit is decided and the others copy it. All searches share one
     clock and budget.
     """
-    clock = resolve_budget(budget).start()
+    clock = BudgetClock(budget)
     leader = orbit_leaders(g)
     chi = _chromatic(g, clock, leader).chi
     per_vertex = [chi] * g.order

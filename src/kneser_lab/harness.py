@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import coloring, dihedral, homsolver
-from .budget import BudgetExhausted, SearchBudget, resolve_budget
+from .budget import BudgetExhausted, SearchBudget
 from .claims import CLAIMS
 from .cliques import independence_number
 from .dihedral import mod1
@@ -322,10 +322,10 @@ def _none_row(claim_id, params, g, h, budget, **extra) -> VerificationReport:
 def _square_row(claim_id, params, g, budget, nodes: int, seconds: float) -> VerificationReport:
     """The direct search for a map from the cartesian square of g onto g.
 
-    These searches can run for minutes, so the run's budget (explicit or
-    from KNESER_LAB_BUDGET) is capped at the given nodes and seconds.
+    These searches can run for minutes, so the run's budget (the default
+    limits when it is None) is capped at the given nodes and seconds.
     """
-    limits = resolve_budget(budget)
+    limits = budget or SearchBudget()
     capped = SearchBudget(
         nodes if limits.node_limit is None else min(nodes, limits.node_limit),
         seconds if limits.time_limit is None else min(seconds, limits.time_limit),

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from functools import reduce
 
-from .budget import BudgetClock, BudgetExhausted, SearchBudget, resolve_budget
+from .budget import BudgetClock, BudgetExhausted, SearchBudget
 from .dihedral import label_orbits
 from .graphs import Graph, complete_graph, iter_bits, verify_homomorphism
 
@@ -186,7 +186,7 @@ def find_homomorphism(g: Graph, h: Graph, budget: SearchBudget | None = None) ->
     it tries only the orbit leaders of h; a copy of h without labels gives
     the plain search.
     """
-    clock = resolve_budget(budget).start()
+    clock = BudgetClock(budget)
     orbits = label_orbits(h)
     sym = orbits and (sum(1 << w for w, lead in enumerate(orbits[0]) if lead == w), orbits[1])
     return _solve(g, h, [(1 << h.order) - 1] * g.order, _arc_consistency(g, h), clock, sym)
@@ -209,7 +209,7 @@ def is_core(g: Graph, budget: SearchBudget | None = None) -> CoreOutcome:
     is banned, in turn and all searches on one clock, each under the
     stabiliser of v.
     """
-    clock = resolve_budget(budget).start()
+    clock = BudgetClock(budget)
     full = (1 << g.order) - 1
     enforce = _arc_consistency(g, g)
     leader, fixing, *_ = label_orbits(g) or (range(g.order), lambda v: ())
@@ -230,7 +230,11 @@ def is_core(g: Graph, budget: SearchBudget | None = None) -> CoreOutcome:
 
 
 def graph_fingerprint(g: Graph) -> dict:
-    blob = repr((g.order, g.adj)).encode()
+    """Order, edge count and a digest of the adjacency rows as fixed-width
+    bytes; the blob's length, order * ceil(order / 8), grows with the order,
+    so the blob alone determines the graph."""
+    width = (g.order + 7) // 8
+    blob = b"".join(row.to_bytes(width, "little") for row in g.adj)
     return {
         "order": g.order,
         "edges": g.edge_count,

@@ -10,7 +10,7 @@ independent checker.
 
 from __future__ import annotations
 
-from .budget import SearchBudget, resolve_budget
+from .budget import BudgetClock, SearchBudget
 from .graphs import Graph, complement, connected_components, disjoint_union, verify_isomorphism
 from .homsolver import _arc_consistency, _neighbour_lists, _run_search
 
@@ -60,7 +60,7 @@ def are_isomorphic(g: Graph, h: Graph, budget: SearchBudget | None = None):
     both in one palette. The budget ticks at each branching step and each
     candidate tried; forced placements propagate without a tick. Running out
     raises BudgetExhausted."""
-    clock = resolve_budget(budget).start()
+    clock = BudgetClock(budget)
     n = g.order
     if n != h.order or g.edge_count != h.edge_count:
         return None

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from kneser_lab import cli, coloring, dihedral, families, harness
-from kneser_lab.budget import BUDGET_ENV_VAR, SearchBudget
+from kneser_lab.budget import SearchBudget
 from kneser_lab.claims import CLAIMS
 from kneser_lab.cliques import clique_number, independence_number
 from kneser_lab.dimacs import dimacs_dumps, dimacs_loads, read_dimacs
@@ -190,30 +190,38 @@ def _untimed_digest(reports) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def test_verify_all_report_digest(monkeypatch):
+VERIFY_ALL_DIGEST = "435e5d1e9f2c50f7"
+
+
+def test_verify_all_report_digest():
     # Pins the whole `verify all --json` content except timings; a change
     # that alters verify output must update this digest and say why. Last
-    # moved by symmetry breaking at every search node: evidence.nodes of the
-    # four core-status rows and the three homidem-negative-search rows.
-    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
-    assert _untimed_digest(harness.run_all()) == "f3c73911cfd09bf6"
+    # moved by the graph fingerprint, which now hashes each adjacency row as
+    # fixed-width bytes: the source digests of the chi-exact and core-status
+    # certificates changed, and no answer or node count did.
+    assert _untimed_digest(harness.run_all()) == VERIFY_ALL_DIGEST
 
 
-def test_verify_homidem_square_report_digest(monkeypatch):
+def test_answers_do_not_depend_on_the_environment(monkeypatch):
+    # a budget comes from the caller only; a variable that once set one is inert
+    monkeypatch.setenv("KNESER_LAB_BUDGET", "1,0.001")
+    assert coloring.chromatic_number(stable_kneser(8, 2, 3)).chi == 5
+    assert _untimed_digest(harness.run_all()) == VERIFY_ALL_DIGEST
+
+
+def test_verify_homidem_square_report_digest():
     # Pins `verify homidem --square --json` except timings, which adds the
     # three direct square searches (28, 42 and 153 nodes) that `verify all`
     # leaves out. Last moved with the verify-all digest, and by the
     # evidence.nodes of those three homidem-square-search rows.
-    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
     reports = harness.run_hom_idempotence_suite(include_square_search=True)
     assert _untimed_digest(reports) == "1bf9c98e0ec2487b"
 
 
-def test_verify_json_deterministic(monkeypatch):
+def test_verify_json_deterministic():
     # perfbench's verify-all answer hashes each row with only its top-level
     # seconds removed, and every iteration must repeat it: a time anywhere
     # else in a row, such as a certificate's, would break that answer
-    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
 
     def untimed(reports):
         out = harness.reports_to_json(reports)
@@ -382,30 +390,41 @@ def test_cli_chi_on_long_cycles(n, capsys):
     assert capsys.readouterr().out.startswith("chi = 3\n")
 
 
-def test_cli_rejects_nonsense_budgets(monkeypatch, capsys):
+def test_cli_rejects_nonsense_budgets(capsys):
     for text in ("-5,", "100,-1", "100,nan", "100,inf", "-1,-1"):
         with pytest.raises(ValueError):
             SearchBudget.from_text(text)
         assert cli.main([f"--budget={text}", "chi", "stable:n=7,k=2,s=3"]) == 64
-        monkeypatch.setenv(BUDGET_ENV_VAR, text)
-        assert cli.main(["chi", "stable:n=7,k=2,s=3"]) == 64
-        assert cli.main(["verify", "shifts"]) == 64
-        monkeypatch.delenv(BUDGET_ENV_VAR)
+        assert cli.main([f"--budget={text}", "verify", "shifts"]) == 64
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.count("kneser-lab: error: ") == 3
-    # text that is not a number names where it came from
+        assert captured.out == "" and captured.err.count("kneser-lab: error: ") == 2
+    # text that is not a number names the flag
     for text in ("x", "10,x"):
         assert cli.main(["--budget", text, "chi", "stable:n=6,k=2,s=2"]) == 64
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("kneser-lab: error: --budget ")
-    monkeypatch.setenv(BUDGET_ENV_VAR, "abc")
-    assert cli.main(["chi", "stable:n=6,k=2,s=2"]) == 64
-    monkeypatch.delenv(BUDGET_ENV_VAR)
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith(f"kneser-lab: error: {BUDGET_ENV_VAR} ")
     # a zero node limit is legal: the search stops at its first node
     assert SearchBudget.from_text("0,0") == SearchBudget(0, 0.0)
     assert cli.main(["--budget=0,", "chi", "stable:n=7,k=2,s=3"]) == 3
+
+
+def test_cli_bad_budget_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    # every verb, even one that runs no solver, rejects a malformed --budget
+    # before it builds a graph or opens a file
+    out = tmp_path / "g.dimacs"
+    assert cli.main(["--budget", "x", "construct", "stable:n=6,k=2,s=2", "--out", str(out)]) == 64
+    assert not out.exists()
+    assert cli.main(["--budget", "x", "shifts", "stable:n=6,k=2,s=2"]) == 64
+    report = tmp_path / "report.json"
+    report.write_text("kept\n")
+    assert cli.main(["--budget", "x", "verify", "shifts", "--json", str(report)]) == 64
+    assert report.read_text() == "kept\n"
+    loaded = []
+    monkeypatch.setattr(cli, "_load_graph", loaded.append)
+    assert cli.main(["--budget", "x", "chi", "stable:n=6,k=2,s=2"]) == 64
+    assert loaded == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("kneser-lab: error: --budget 'x'") == 4
 
 
 @pytest.mark.parametrize(
@@ -556,15 +575,4 @@ def _readme_cli_examples():
 def test_readme_cli_examples_run(argv, tmp_path, monkeypatch, capsys):
     # every documented command must keep working, run where it may write files
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
     assert cli.main(argv) == 0
-
-
-def test_budget_env_var(monkeypatch):
-    monkeypatch.setenv(BUDGET_ENV_VAR, "5000,12.5")
-    budget = SearchBudget.from_env()
-    assert budget.node_limit == 5000 and budget.time_limit == 12.5
-    monkeypatch.setenv(BUDGET_ENV_VAR, "5000,")
-    assert SearchBudget.from_env().time_limit == SearchBudget().time_limit
-    monkeypatch.delenv(BUDGET_ENV_VAR)
-    assert SearchBudget.from_env() == SearchBudget()

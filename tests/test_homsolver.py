@@ -21,6 +21,7 @@ from kneser_lab.families import (
     cayley_dihedral,
     circulant,
     circular_graph,
+    cycle_power,
     kneser,
     parse_family_spec,
     prop_iso_map,
@@ -486,6 +487,17 @@ def test_certificate_other_kinds():
     assert not check_certificate(dict(clique, clique=[0, 2]), g)
     with pytest.raises(ValueError):
         certificate("nonsense", data=())
+
+
+def test_certificate_of_a_graph_too_wide_for_decimal_rows():
+    # an adjacency row of more than 14,284 bits has over 4,300 decimal digits,
+    # Python's default limit for int -> str, so the fingerprint must not print rows
+    g = cycle_power(15000, 1)
+    stamp = homsolver.graph_fingerprint(g)
+    assert (stamp["order"], stamp["edges"], len(stamp["digest"])) == (15000, 15000, 16)
+    cert = certificate("coloring", data=chromatic_number(g).coloring, source=g, verified=True)
+    assert check_certificate(certificate_loads(certificate_dumps(cert)), g)
+    assert homsolver.graph_fingerprint(cycle_power(15001, 1))["digest"] != stamp["digest"]
 
 
 def _loaded(**fields) -> dict:
