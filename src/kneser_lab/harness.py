@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import coloring, dihedral, homsolver
-from .budget import BudgetExhausted, SearchBudget
+from .budget import BudgetExhausted
 from .claims import CLAIMS
 from .cliques import independence_number
 from .dihedral import mod1
@@ -319,19 +319,11 @@ def _none_row(claim_id, params, g, h, budget, **extra) -> VerificationReport:
     return _row(claim_id, params, "none", check)
 
 
-def _square_row(claim_id, params, g, budget, nodes: int, seconds: float) -> VerificationReport:
-    """The direct search for a map from the cartesian square of g onto g.
-
-    These searches can run for minutes, so the run's budget (the default
-    limits when it is None) is capped at the given nodes and seconds.
-    """
-    limits = budget or SearchBudget()
-    capped = SearchBudget(
-        nodes if limits.node_limit is None else min(nodes, limits.node_limit),
-        seconds if limits.time_limit is None else min(seconds, limits.time_limit),
-    )
+def _square_row(claim_id, params, g, budget) -> VerificationReport:
+    """The direct search for a map from the cartesian square of g onto g, on
+    the caller's budget (the default limits when it is None)."""
     square = cartesian_product(g, g)
-    return _none_row(claim_id, params, square, g, capped, square_order=square.order)
+    return _none_row(claim_id, params, square, g, budget, square_order=square.order)
 
 
 def run_core_suite(budget=None, manifest=None, include_square_search=False) -> list[VerificationReport]:
@@ -389,7 +381,7 @@ def _negative_reports(g, s, params, budget, include_square_search):
         _none_row("homidem-negative-search", params, g, cay, budget),
     ]
     if include_square_search:
-        reports.append(_square_row("homidem-square-search", params, g, budget, 2_000_000, 30.0))
+        reports.append(_square_row("homidem-square-search", params, g, budget))
     return reports
 
 
@@ -435,10 +427,11 @@ def probe_conjectures(
     """Probe the conjectured chromatic numbers and non-hom-idempotence.
 
     Rows are flagged as conjectures and never gate acceptance; budget
-    exhaustion is an expected outcome here. Raising square_order_cap lets
-    the direct square searches run on bigger instances (the search on the
-    324-vertex square of n = 9, k = 2, s = 3 finishes with "none" after
-    754 nodes in about 0.02 s), at the cost of longer probes.
+    exhaustion is an expected outcome here. square_order_cap bounds the
+    order of a square searched directly; raising it lets the square searches
+    run on bigger instances (the search on the 324-vertex square of n = 9,
+    k = 2, s = 3 finishes with "none" after 754 nodes in about 0.02 s), at
+    the cost of longer probes. Every search runs on `budget`.
     """
     reports = []
     for k in sorted(k_values):
@@ -457,9 +450,7 @@ def probe_conjectures(
                     )
                 )
                 if s >= 3 and n > k * s + 1 and g.order**2 <= square_order_cap:
-                    reports.append(
-                        _square_row("conjecture-homidem", params, g, budget, 5_000_000, 60.0)
-                    )
+                    reports.append(_square_row("conjecture-homidem", params, g, budget))
     return _sort_reports(reports)
 
 

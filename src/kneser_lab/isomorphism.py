@@ -69,7 +69,10 @@ def are_isomorphic(g: Graph, h: Graph, budget: SearchBudget | None = None):
     colors = _refine(union, [sizes[u] for u in range(2 * n)])
     if sorted(colors[:n]) != sorted(colors[n:]):
         return None
-    doms = [sum(1 << w for w in range(n) if colors[n + w] == colors[u]) for u in range(n)]
+    classes = dict.fromkeys(colors[n:], 0)  # colour -> bitset of h's vertices in it
+    for w, c in enumerate(colors[n:]):
+        classes[c] |= 1 << w
+    doms = [classes[c] for c in colors[:n]]
     result = _run_search(doms, _edges_and_non_edges(g, h), clock, None)
     if result is not None and not verify_isomorphism(g, h, result):
         raise RuntimeError("isomorphism search produced a map the checker rejects")

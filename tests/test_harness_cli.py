@@ -178,6 +178,26 @@ def test_probe_reports_are_flagged():
     assert chi_rows and chi_rows[0].computed == 6 and chi_rows[0].status == "pass"
 
 
+@pytest.mark.parametrize("budget", [SearchBudget(3_000_000, 120.0), None], ids=str)
+def test_square_searches_run_on_the_callers_budget(monkeypatch, budget):
+    # the direct square searches take the budget they are given, with no
+    # limits of their own on top, and None stays None (the default limits)
+    find = harness.homsolver.find_homomorphism
+    seen = []
+
+    def recording(g, h, b=None):
+        if g.order == h.order**2:
+            seen.append(b)
+        return find(g, h, b)
+
+    monkeypatch.setattr(harness.homsolver, "find_homomorphism", recording)
+    harness.run_hom_idempotence_suite(budget=budget, include_square_search=True)
+    assert len(seen) == 3
+    harness.probe_conjectures([9], [2], [3], budget=budget, square_order_cap=400)
+    assert len(seen) == 4
+    assert all(b is budget for b in seen)
+
+
 def _untimed_digest(reports) -> str:
     def untimed(value):
         if isinstance(value, dict):

@@ -11,6 +11,7 @@ from helpers import (
     reference_arc_consistency,
     reference_joint_refinement,
 )
+from kneser_lab import isomorphism
 from kneser_lab.budget import BudgetExhausted, SearchBudget
 from kneser_lab.dihedral import enumerate_shifts
 from kneser_lab.families import cayley_dihedral, circular_graph, cycle_power, stable_kneser
@@ -164,6 +165,62 @@ def test_relabelled_stable_kneser_graph_is_decided_quickly(args):
     h = stable_kneser(*args)
     g = _relabelled(h, 0)
     assert verify_isomorphism(g, h, are_isomorphic(g, h, SearchBudget(2_000, None)))
+
+
+def _rook_and_shrikhande():
+    # both strongly regular (16,6,2,2): refinement gives one class
+    rook = cartesian_product(complete_graph(4), complete_graph(4))
+    steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    shrikhande = make_graph(16, [
+        (u, v)
+        for u in range(16)
+        for v in range(u + 1, 16)
+        if ((v // 4 - u // 4) % 4, (v % 4 - u % 4) % 4) in steps
+    ])
+    return rook, shrikhande
+
+
+def _exact_node_cases():
+    h = stable_kneser(12, 2, 2)
+    yield "SG(12,2,2) seed 0", _relabelled(h, 0), h, 579, True
+    yield "SG(12,2,2) seed 1", _relabelled(h, 1), h, 108, True
+    h = stable_kneser(14, 2, 3)
+    yield "SG(14,2,3) seed 0", _relabelled(h, 0), h, 216, True
+    yield "rook vs Shrikhande", *_rook_and_shrikhande(), 129, False
+
+
+@pytest.mark.parametrize("case", list(_exact_node_cases()), ids=lambda case: case[0])
+def test_exact_isomorphism_node_counts(case):
+    # a search needs exactly N nodes: one fewer exhausts, N decides
+    _, g, h, nodes, isomorphic = case
+    with pytest.raises(BudgetExhausted):
+        are_isomorphic(g, h, SearchBudget(nodes - 1, None))
+    found = are_isomorphic(g, h, SearchBudget(nodes, None))
+    assert verify_isomorphism(g, h, found) if isomorphic else found is None
+
+
+def test_start_domains_are_the_colour_classes_of_h(monkeypatch):
+    # each vertex of g starts with the vertices of h in its refined colour
+    # class; the reference tests every pair of vertices
+    run_search = isomorphism._run_search
+    received = []
+
+    def recording(doms, *rest):
+        received.append(list(doms))
+        return run_search(doms, *rest)
+
+    monkeypatch.setattr(isomorphism, "_run_search", recording)
+    pairs = [(g, h) for _, g, h, _, _ in _exact_node_cases()]
+    rng = random.Random(2816)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(1, 12), 0.4)
+        pairs.append((g, _relabelled(g, rng.randrange(1 << 30))))
+    for g, h in pairs:
+        received.clear()
+        are_isomorphic(g, h)
+        cg, ch = _union_colours(g, h)
+        n = g.order
+        assert received == [[sum(1 << w for w in range(n) if ch[w] == cg[u]) for u in range(n)]]
 
 
 def _reference_joint_fixpoint(g, h, doms):
