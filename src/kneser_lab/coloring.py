@@ -1,8 +1,9 @@
 """Exact chromatic number, vertex-criticality audits, and closed-form values.
 
-The solver runs DSATUR branch and bound (Brelaz, CACM 1979) between an
-exact clique lower bound and the greedy upper bound, which is the first
-descent of the same search. Saturation is kept incremental: one bitset per
+The solver runs DSATUR branch and bound (Brelaz, CACM 1979) upward from an
+exact clique lower bound: it decides k = omega, omega + 1, ... colours in
+turn, with no greedy upper bound, so every node is on the caller's clock and
+k = order always succeeds. Saturation is kept incremental: one bitset per
 saturation level holds the uncoloured vertices that see that many colours,
 and colouring a vertex raises only those of its neighbours that did not
 already see its colour (undone on backtrack), so a node costs O(levels)
@@ -15,6 +16,7 @@ definition and against the old max-scan search lives in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
 from .budget import BudgetClock, SearchBudget
 from .cliques import _max_clique
@@ -30,10 +32,6 @@ class ColoringResult:
     clique: tuple[int, ...]  # witness for the lower bound
     nodes: int
     seconds: float = field(default=0.0, compare=False)  # a time, not part of the answer
-
-
-def _no_tick() -> None:
-    pass
 
 
 def _dsatur(g: Graph, k: int, tick) -> tuple[int, ...] | None:
@@ -131,14 +129,10 @@ def _chromatic(g: Graph, clock: BudgetClock, leader) -> ColoringResult:
     """chromatic_number on the caller's clock and the caller's orbit leaders
     of g, which the clique bound uses; `nodes` and `seconds` are the clock's."""
     lower, clique = _max_clique(g, clock, leader)
-    coloring = _colorable(g, g.order, _no_tick)  # greedy: one descent, never stuck
-    chi = max(coloring, default=-1) + 1
-    for k in range(lower, chi):
-        attempt = _colorable(g, k, clock.tick)
-        if attempt is not None:
-            chi, coloring = k, attempt
-            break
-    return ColoringResult(chi, coloring, clique, clock.nodes, clock.elapsed())
+    for chi in count(lower):  # k = g.order always succeeds
+        coloring = _colorable(g, chi, clock.tick)
+        if coloring is not None:
+            return ColoringResult(chi, coloring, clique, clock.nodes, clock.elapsed())
 
 
 @dataclass(frozen=True)

@@ -137,8 +137,9 @@ def prop_iso_map(k: int, s: int) -> tuple[int, ...]:
     not an s-stable vertex. The map is unchecked here: the report rows and
     tests that use it check it, so a faulty formula grades as a failure.
     """
-    index = stable_kneser(k * s + 1, k, s).label_index()
-    return tuple(index.get(v, -1) for v in prop_iso_images(k, s))
+    images = prop_iso_images(k, s)
+    index = {v.elements: i for i, v in enumerate(enumerate_stable_subsets(k * s + 1, k, s))}
+    return tuple(index.get(v.elements, -1) for v in images)
 
 
 def _caydih(n: int, gens: tuple[str, ...]) -> Graph:

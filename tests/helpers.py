@@ -8,10 +8,12 @@ the incremental kernel in `coloring` must reproduce node for node,
 `reference_joint_refinement`, the two-graph colour refinement whose colours
 `isomorphism._refine` on the disjoint union must reproduce,
 `reference_components`, the vertex-by-vertex walk whose components
-`graphs.connected_components` must list in the same order, and
+`graphs.connected_components` must list in the same order,
 `label_automorphism`, which turns one element's label action into a vertex
 permutation by looking each fresh image label up among g's labels: the
-reference for the permutations `dihedral.label_orbits` reads off its keys.
+reference for the permutations `dihedral.label_orbits` reads off its keys,
+and `reference_chromatic`, the chromatic search with an untimed greedy
+upper bound, whose answers `coloring.chromatic_number` must reproduce.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from functools import partial
 from itertools import combinations, permutations
 
 from kneser_lab.budget import BudgetClock
-from kneser_lab.dihedral import DihedralElement, act_on_vertex, all_elements, compose
+from kneser_lab.cliques import _max_clique
+from kneser_lab.coloring import ColoringResult, _colorable
+from kneser_lab.dihedral import DihedralElement, act_on_vertex, all_elements, compose, orbit_leaders
 from kneser_lab.graphs import Graph, iter_bits, make_graph, verify_homomorphism
 from kneser_lab.labels import CyclicElem, KSubset
 
@@ -363,6 +367,22 @@ def _reference_decide(g: Graph, k: int, clock: BudgetClock):
 
     return tuple(colors) if dfs(0, 0) else None
 
+
+def reference_chromatic(g: Graph) -> tuple[ColoringResult, int]:
+    """The chromatic search with an untimed greedy pre-pass, as the result and
+    the number of colours greedy used. Greedy is the first descent of DSATUR
+    with every colour allowed; only k from the clique bound up to below its
+    count are then decided, on the clock, so its nodes are never counted."""
+    clock = BudgetClock(None)
+    lower, clique = _max_clique(g, clock, orbit_leaders(g))
+    coloring = _colorable(g, g.order, lambda: None)
+    greedy = chi = max(coloring, default=-1) + 1
+    for k in range(lower, chi):
+        attempt = _colorable(g, k, clock.tick)
+        if attempt is not None:
+            chi, coloring = k, attempt
+            break
+    return ColoringResult(chi, coloring, clique, clock.nodes, clock.elapsed()), greedy
 
 
 def is_stable_pairwise(elements, n: int, s: int) -> bool:

@@ -8,18 +8,18 @@ from helpers import (
     cycle_graph,
     empty_graph,
     random_graph,
+    reference_chromatic,
     reference_dsatur,
     strip_labels,
 )
 from kneser_lab import coloring
-from kneser_lab.budget import BudgetExhausted, SearchBudget
+from kneser_lab.budget import BudgetClock, BudgetExhausted, SearchBudget
 from kneser_lab.cliques import clique_number
 from kneser_lab.coloring import (
     ColoringResult,
     CriticalityReport,
     _colorable,
     _dsatur,
-    _no_tick,
     chromatic_number,
     closed_form_chi,
     is_chi_critical,
@@ -101,22 +101,68 @@ def test_dsatur_kernel_matches_max_scan_reference():
     ]
     for g in graphs:
         upper, greedy = reference_dsatur(g)
-        assert _dsatur(g, g.order, _no_tick) == greedy
+        assert _dsatur(g, g.order, lambda: None) == greedy
         for k in range(clique_number(g).size, upper + 1):
             old, new = SearchBudget(None, None).start(), SearchBudget(None, None).start()
             assert _dsatur(g, k, new.tick) == reference_dsatur(g, k, old)
             assert new.nodes == old.nodes
 
 
+def test_chromatic_search_runs_on_the_clock(monkeypatch):
+    # every DSATUR search of chromatic_number and of the audit ticks a
+    # BudgetClock, so none of their nodes escapes the caller's budget
+    ticks = []
+    real = coloring._dsatur
+
+    def recording(g, k, tick):
+        ticks.append(tick)
+        return real(g, k, tick)
+
+    monkeypatch.setattr(coloring, "_dsatur", recording)
+    for g in (stable_kneser(6, 2, 2), stable_kneser(8, 2, 3), cycle_graph(7)):
+        chromatic_number(g)
+        is_chi_critical(g)
+    assert ticks
+    for tick in ticks:
+        assert isinstance(getattr(tick, "__self__", None), BudgetClock)
+        assert tick.__func__ is BudgetClock.tick
+
+
+def _reference_corpus():
+    """The bundled chi instances, the chi-exact benchmark specs and 200
+    seeded random graphs of order at most 14."""
+    texts = [inst["spec"] for inst in load_manifest()["chi_instances"]]
+    texts += ["stable:n=11,k=2,s=2", "stable:n=10,k=2,s=2", "stable:n=9,k=3,s=2",
+              "kneser:n=9,k=2", "kneser:n=9,k=3", "kneser:n=10,k=4"]
+    graphs = [parse_family_spec(text).build() for text in texts]
+    rng = random.Random(29)
+    graphs += [
+        random_graph(rng, rng.randint(0, 14), rng.choice([0.2, 0.4, 0.6, 0.8]))
+        for _ in range(200)
+    ]
+    return graphs
+
+
+def test_chromatic_matches_greedy_bounded_reference():
+    # deciding k = omega, omega + 1, ... finds the greedy-bounded search's
+    # answers; when greedy was optimal, the k = chi decision repeats its
+    # descent on the clock, one node per vertex and one at the leaf
+    for g in _reference_corpus():
+        old, greedy = reference_chromatic(g)
+        new = chromatic_number(g)
+        assert (new.chi, new.coloring, new.clique) == (old.chi, old.coloring, old.clique)
+        assert new.nodes == old.nodes + (g.order + 1 if greedy == old.chi else 0)
+
+
 @pytest.mark.parametrize(
     "text, nodes, chi",
     [
-        ("stable:n=10,k=2,s=2", 5_606, 8),
-        ("stable:n=9,k=3,s=2", 6_135, 5),
+        ("stable:n=10,k=2,s=2", 5_642, 8),
+        ("stable:n=9,k=3,s=2", 6_166, 5),
         ("kneser:n=9,k=2", 1_613, 7),
         ("kneser:n=9,k=3", 2_241, 5),
-        ("kneser:n=10,k=4", 4_239, 4),
-        ("stable:n=11,k=2,s=2", 84_705, 9),
+        ("kneser:n=10,k=4", 4_450, 4),
+        ("stable:n=11,k=2,s=2", 84_750, 9),
     ],
 )
 def test_chi_exact_search_trees_are_pinned(text, nodes, chi):
@@ -161,12 +207,12 @@ def _pinned(call):
 def test_chi_exact_calls_are_pinned():
     # a DSATUR or clique change that alters a search tree shows here first
     assert [_pinned(call) for call in _chi_exact_calls()] == [
-        (9, 84_277),
-        (8, 5_562),
-        (5, 6_133),
+        (9, 84_322),
+        (8, 5_598),
+        (5, 6_164),
         (7, 1_492),
         (5, 2_227),
-        (4, 4_185),
+        (4, 4_396),
         (True, (7,) * 35),
         (True, (6,) * 27),
         (False, (5,) * 21),
@@ -192,7 +238,7 @@ def test_criticality_spends_one_budget():
         clock = SearchBudget(node_limit=None, time_limit=None).start()
         _colorable(delete_vertex(g, v), result.chi - 1, clock.tick)
         costs.append(clock.nodes)
-    assert costs == [17, 13, 9]
+    assert costs == [27, 13, 9]
     total = sum(costs)
     assert is_chi_critical(g, SearchBudget(node_limit=total, time_limit=None)).critical
     with pytest.raises(BudgetExhausted):
@@ -234,10 +280,10 @@ def test_criticality_matches_exhaustive_oracle(name):
 @pytest.mark.parametrize(
     "text, nodes",
     [
-        ("stable:n=6,k=2,s=2", 39),
-        ("stable:n=7,k=3,s=2", 17),
-        ("stable:n=8,k=2,s=3", 45),
-        ("stable:n=10,k=2,s=4", 61),
+        ("stable:n=6,k=2,s=2", 49),
+        ("stable:n=7,k=3,s=2", 25),
+        ("stable:n=8,k=2,s=3", 58),
+        ("stable:n=10,k=2,s=4", 77),
     ],
 )
 def test_criticality_audit_nodes_are_pinned(text, nodes):

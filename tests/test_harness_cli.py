@@ -210,15 +210,15 @@ def _untimed_digest(reports) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-VERIFY_ALL_DIGEST = "435e5d1e9f2c50f7"
+VERIFY_ALL_DIGEST = "49734430ae7bd6a6"
 
 
 def test_verify_all_report_digest():
     # Pins the whole `verify all --json` content except timings; a change
     # that alters verify output must update this digest and say why. Last
-    # moved by the graph fingerprint, which now hashes each adjacency row as
-    # fixed-width bytes: the source digests of the chi-exact and core-status
-    # certificates changed, and no answer or node count did.
+    # moved when the greedy colouring pass went onto the clock: the `nodes`
+    # of the eight chi-exact colouring certificates rose by order + 1 where
+    # greedy was optimal, and no answer or colouring changed.
     assert _untimed_digest(harness.run_all()) == VERIFY_ALL_DIGEST
 
 
@@ -482,7 +482,6 @@ def test_cli_small_budget_never_crashes(argv, code, capsys):
 @pytest.mark.parametrize(
     "inst",
     [
-        {"spec": "kneser:n=5,k=2", "chi": 4},  # the closed form gives 3
         {"spec": "stable:n=9,k=2,s=3", "chi": 6},  # only conjectured
     ],
 )
