@@ -50,9 +50,6 @@ class SearchBudget:
         except ValueError as err:
             raise ValueError(f"--budget {text!r}: {err}") from None
 
-    def start(self) -> "BudgetClock":
-        return BudgetClock(self)
-
 
 class BudgetClock:
     """Mutable accounting for one public solver call and all its sub-searches.

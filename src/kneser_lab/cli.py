@@ -101,16 +101,16 @@ def _cmd_chi(args) -> int:
     return EXIT_OK
 
 
-def _print_outcome(status: str, hom, g: Graph, h: Graph, nodes: int, seconds: float) -> int:
+def _print_outcome(outcome: homsolver.Outcome, g: Graph, h: Graph) -> int:
     """Print a search's status and, when it found a map g -> h, its certificate;
     an exhausted search raises BudgetExhausted, which `main` reports."""
-    if status == "exhausted":
-        raise BudgetExhausted(nodes, seconds)
-    print(status)
-    if hom is not None:
+    if outcome.status == "exhausted":
+        raise BudgetExhausted(outcome.nodes, outcome.seconds)
+    print(outcome.status)
+    if outcome.witness is not None:
         cert = homsolver.certificate(
-            "homomorphism", data=hom.mapping, source=g, target=h, verified=True,
-            nodes=nodes, seconds=seconds,
+            "homomorphism", data=outcome.witness.mapping, source=g, target=h, verified=True,
+            nodes=outcome.nodes, seconds=outcome.seconds,
         )
         print(homsolver.certificate_dumps(cert))
     return EXIT_OK
@@ -118,17 +118,13 @@ def _print_outcome(status: str, hom, g: Graph, h: Graph, nodes: int, seconds: fl
 
 def _cmd_core(args) -> int:
     g = _load_graph(args.spec)
-    outcome = homsolver.is_core(g, args.budget)
-    return _print_outcome(outcome.status, outcome.witness, g, g, outcome.nodes, outcome.seconds)
+    return _print_outcome(homsolver.is_core(g, args.budget), g, g)
 
 
 def _cmd_hom(args) -> int:
     g = _load_graph(args.source)
     h = _load_graph(args.target)
-    outcome = homsolver.find_homomorphism(g, h, args.budget)
-    return _print_outcome(
-        outcome.status, outcome.homomorphism, g, h, outcome.nodes, outcome.seconds
-    )
+    return _print_outcome(homsolver.find_homomorphism(g, h, args.budget), g, h)
 
 
 def _cmd_iso(args) -> int:

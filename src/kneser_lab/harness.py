@@ -97,8 +97,12 @@ def load_manifest(path: str | None = None) -> dict:
     )
 
 
+_SECTIONS = ("shift_grid", "counting_grid", "iso_grid", "chi_instances", "chi_lower_bound_s",
+    "core_instances", "hom_positive", "hom_negative_two_stable", "hom_negative_pair_family")
+
+
 def _manifest(manifest, *sections) -> dict:
-    """`manifest`, or the bundled one when it is None, checked to hold `sections`."""
+    """`manifest`, or the bundled one when None, holding `sections` and no key but _SECTIONS."""
     if manifest is None:
         manifest = load_manifest()
     for key in sections:
@@ -106,7 +110,15 @@ def _manifest(manifest, *sections) -> dict:
             raise ValueError(f"manifest has no {key!r} section")
         if not isinstance(manifest[key], (dict, list)):
             raise ValueError(f"manifest section {key!r} must be an object or a list")
+    _known_keys(manifest, *_SECTIONS)
     return manifest
+
+
+def _known_keys(entry, *keys):
+    """Reject a key outside `keys`, so a misspelt or stale key cannot drop a check in silence."""
+    for key in entry if isinstance(entry, dict) else ():
+        if key not in keys:
+            raise ValueError(f"manifest key {key!r} is not one of {', '.join(keys)}")
 
 
 _KINDS = {int: "an integer", bool: "true or false", str: "a string", list: "a list of integers"}
@@ -141,6 +153,7 @@ def run_shift_grid(budget=None, manifest=None, include_square_search=False) -> l
     every reflexion must be refuted by its witness vertex. No search runs, so
     the budget and square-search options are unused."""
     cfg = _manifest(manifest, "shift_grid")["shift_grid"]
+    _known_keys(cfg, "k_values", "s_values", "n_cap")
     reports = []
     for k in sorted(_field(cfg, "k_values", list)):
         for s in sorted(_field(cfg, "s_values", list)):
@@ -169,6 +182,7 @@ def run_shift_grid(budget=None, manifest=None, include_square_search=False) -> l
 
 def run_count_grid(budget=None, manifest=None, include_square_search=False) -> list[VerificationReport]:
     cfg = _manifest(manifest, "counting_grid")["counting_grid"]
+    _known_keys(cfg, "k_values", "s_values")
     reports = []
     for k in sorted(_field(cfg, "k_values", list)):
         for s in sorted(_field(cfg, "s_values", list)):
@@ -187,6 +201,7 @@ def run_count_grid(budget=None, manifest=None, include_square_search=False) -> l
 
 def run_prop_iso(budget=None, manifest=None, include_square_search=False) -> list[VerificationReport]:
     cfg = _manifest(manifest, "iso_grid")["iso_grid"]
+    _known_keys(cfg, "k_values", "s_values")
     reports = []
     for k in sorted(_field(cfg, "k_values", list)):
         for s in sorted(_field(cfg, "s_values", list)):
@@ -230,6 +245,7 @@ def run_chi_suite(budget=None, manifest=None, include_square_search=False) -> li
     for inst in man["chi_instances"]:
         spec = parse_family_spec(_field(inst, "spec", str))
         critical = _field(inst, "critical", bool) if "critical" in inst else None
+        _known_keys(inst, "spec", "critical")
         formula = coloring.closed_form_chi(spec)
         if formula.conjectural:
             raise ValueError(f"suite instance {spec.text} has no proven closed form")
@@ -281,43 +297,30 @@ def run_chi_suite(budget=None, manifest=None, include_square_search=False) -> li
 # cores and refuting searches
 
 
-def _core_row(g, params, expected, budget, **extra) -> VerificationReport:
-    """The core test of g; `extra` holds fixed evidence for the row."""
+def _search_row(claim_id, params, expected, budget, *graphs, **extra) -> VerificationReport:
+    """Grade `is_core(g)` for graphs (g,), or `find_homomorphism(g, h)` for (g, h), on its
+    status, with fixed evidence `extra`; a map the search finds is kept as a certificate."""
 
     def check():
-        outcome = homsolver.is_core(g, budget)
+        search = homsolver.is_core if len(graphs) == 1 else homsolver.find_homomorphism
+        outcome = search(*graphs, budget)
         evidence = {"nodes": outcome.nodes, **extra}
         if outcome.witness is not None:
             evidence["witness"] = homsolver.certificate(
-                "homomorphism",
-                data=outcome.witness.mapping,
-                source=g,
-                target=g,
-                verified=True,
-                nodes=outcome.nodes,
+                "homomorphism", data=outcome.witness.mapping, source=graphs[0],
+                target=graphs[-1], verified=True, nodes=outcome.nodes,
             )
             evidence["image_size"] = len(outcome.witness.image())
         return outcome.status, evidence
 
-    return _row("core-status", params, expected, check)
-
-
-def _none_row(claim_id, params, g, h, budget, **extra) -> VerificationReport:
-    """A homomorphism search g -> h that the claim says finds nothing;
-    `extra` holds fixed evidence for the row."""
-
-    def check():
-        outcome = homsolver.find_homomorphism(g, h, budget)
-        return outcome.status, {"nodes": outcome.nodes, **extra}
-
-    return _row(claim_id, params, "none", check)
+    return _row(claim_id, params, expected, check)
 
 
 def _square_row(claim_id, params, g, budget) -> VerificationReport:
     """The direct search for a map from the cartesian square of g onto g, on
     the caller's budget (the default limits when it is None)."""
     square = cartesian_product(g, g)
-    return _none_row(claim_id, params, square, g, budget, square_order=square.order)
+    return _search_row(claim_id, params, "none", budget, square, g, square_order=square.order)
 
 
 def run_core_suite(budget=None, manifest=None, include_square_search=False) -> list[VerificationReport]:
@@ -327,7 +330,9 @@ def run_core_suite(budget=None, manifest=None, include_square_search=False) -> l
         spec = parse_family_spec(_field(inst, "spec", str))
         g = spec.build()
         expected = "core" if _field(inst, "core", bool) else "not-core"
-        reports.append(_core_row(g, {"spec": spec.text}, expected, budget, order=g.order))
+        _known_keys(inst, "spec", "core")
+        params = {"spec": spec.text}
+        reports.append(_search_row("core-status", params, expected, budget, g, order=g.order))
     return _sort_reports(reports)
 
 
@@ -372,7 +377,7 @@ def _negative_reports(g, s, params, budget, include_square_search):
     reports = [
         _row("homidem-negative-shape", params, True, shape),
         _row("homidem-negative-chi", params, True, chi_gap),
-        _none_row("homidem-negative-search", params, g, cay, budget),
+        _search_row("homidem-negative-search", params, "none", budget, g, cay),
     ]
     if include_square_search:
         reports.append(_square_row("homidem-square-search", params, g, budget))
@@ -386,6 +391,7 @@ def run_hom_idempotence_suite(
     reports = []
     for inst in man["hom_positive"]:
         k, s = _field(inst, "k"), _field(inst, "s")
+        _known_keys(inst, "k", "s")
 
         def positive():
             square, g, mapping = transported_square_hom(k, s)
@@ -395,6 +401,7 @@ def run_hom_idempotence_suite(
         reports.append(_row("homidem-positive", {"k": k, "s": s, "n": k * s + 1}, True, positive))
     for inst in man["hom_negative_two_stable"]:
         n, k = _field(inst, "n"), _field(inst, "k")
+        _known_keys(inst, "n", "k")
         if n < 2 * k + 2:
             raise ValueError(f"two-stable negative case needs n >= 2k+2, got n={n}, k={k}")
         g = stable_kneser(n, k, 2)
@@ -402,12 +409,13 @@ def run_hom_idempotence_suite(
         reports.extend(_negative_reports(g, 2, params, budget, include_square_search))
     for inst in man["hom_negative_pair_family"]:
         s = _field(inst, "s")
+        _known_keys(inst, "s")
         if s < 3:
             raise ValueError("the pair-family negative case needs s >= 3")
         n = 2 * s + 2
         g = stable_kneser(n, 2, s)
         params = {"n": n, "k": 2, "s": s}
-        reports.append(_core_row(g, params, "core", budget))
+        reports.append(_search_row("core-status", params, "core", budget, g))
         reports.extend(_negative_reports(g, s, params, budget, include_square_search))
     return _sort_reports(reports)
 

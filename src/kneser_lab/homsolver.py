@@ -1,4 +1,4 @@
-"""Homomorphism search, solver outcomes, and JSON certificates.
+"""Homomorphism search, its one outcome type, and JSON certificates.
 
 `_run_search` is the one backtracking skeleton over per-vertex candidate
 bitsets, on the clock of the public call; arc consistency narrows the domains
@@ -10,14 +10,15 @@ once, with `label_orbits`; the search breaks it at every node, and the core
 test bans one vertex v per orbit and searches under v's stabiliser.
 A negative answer only follows a completed search; every positive answer and
 loaded certificate passes the map checker `graphs.verify_homomorphism`, and a
-"not-core" endomorphism is checked to miss a vertex.
+"not-core" endomorphism is checked to miss a vertex. Both searches return one
+`Outcome` type; its `homomorphism` is a read-only alias of `witness`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 from .budget import BudgetClock, BudgetExhausted, SearchBudget
@@ -36,15 +37,19 @@ class Homomorphism:
 
 
 @dataclass(frozen=True)
-class SolveOutcome:
-    status: str  # "found" | "none" | "exhausted"
-    homomorphism: Homomorphism | None
+class Outcome:
+    status: str  # "found" | "none" | "exhausted", or from is_core "core" | "not-core" | "exhausted"
+    witness: Homomorphism | None  # the map g -> h found, or a non-surjective endomorphism
     nodes: int
     seconds: float
 
     @property
     def found(self) -> bool:
         return self.status == "found"
+
+    @property
+    def homomorphism(self) -> Homomorphism | None:
+        return self.witness  # read-only alias; perfbench/workloads.py reads this name
 
 
 def _neighbour_lists(g: Graph) -> list[list[int]]:
@@ -165,20 +170,20 @@ def _run_search(doms: list[int], enforce, clock: BudgetClock, sym):
     return None
 
 
-def _solve(g: Graph, h: Graph, doms: list[int], enforce, clock: BudgetClock, sym) -> SolveOutcome:
+def _solve(g: Graph, h: Graph, doms: list[int], enforce, clock: BudgetClock, sym) -> Outcome:
     """Search g -> h within `doms` under `sym` on `clock`; nodes: clock total."""
     try:
         mapping = _run_search(doms, enforce, clock, sym)
     except BudgetExhausted:
-        return SolveOutcome("exhausted", None, clock.nodes, clock.elapsed())
+        return Outcome("exhausted", None, clock.nodes, clock.elapsed())
     if mapping is None:
-        return SolveOutcome("none", None, clock.nodes, clock.elapsed())
+        return Outcome("none", None, clock.nodes, clock.elapsed())
     if not verify_homomorphism(g, h, mapping):
         raise RuntimeError("search produced a map the independent checker rejects")
-    return SolveOutcome("found", Homomorphism(mapping), clock.nodes, clock.elapsed())
+    return Outcome("found", Homomorphism(mapping), clock.nodes, clock.elapsed())
 
 
-def find_homomorphism(g: Graph, h: Graph, budget: SearchBudget | None = None) -> SolveOutcome:
+def find_homomorphism(g: Graph, h: Graph, budget: SearchBudget | None = None) -> Outcome:
     """Decide whether an edge-preserving map g -> h exists.
 
     The full domains are invariant under the group `label_orbits(h)`
@@ -192,15 +197,7 @@ def find_homomorphism(g: Graph, h: Graph, budget: SearchBudget | None = None) ->
     return _solve(g, h, [(1 << h.order) - 1] * g.order, _arc_consistency(g, h), clock, sym)
 
 
-@dataclass(frozen=True)
-class CoreOutcome:
-    status: str  # "core" | "not-core" | "exhausted"
-    witness: Homomorphism | None
-    nodes: int
-    seconds: float
-
-
-def is_core(g: Graph, budget: SearchBudget | None = None) -> CoreOutcome:
+def is_core(g: Graph, budget: SearchBudget | None = None) -> Outcome:
     """Exhaustively decide whether every endomorphism of g is surjective.
 
     g fails to be a core exactly when some endomorphism misses a vertex. If
@@ -218,12 +215,11 @@ def is_core(g: Graph, budget: SearchBudget | None = None) -> CoreOutcome:
             continue
         sym = _symmetry(fixing(v), range(g.order))
         outcome = _solve(g, g, [full & ~(1 << v)] * g.order, enforce, clock, sym)
-        if outcome.found and len(outcome.homomorphism.image()) == g.order:
+        if outcome.found and len(outcome.witness.image()) == g.order:
             raise RuntimeError("core search produced an endomorphism that misses no vertex")
         if outcome.status != "none":
-            status = "not-core" if outcome.found else "exhausted"
-            return CoreOutcome(status, outcome.homomorphism, clock.nodes, clock.elapsed())
-    return CoreOutcome("core", None, clock.nodes, clock.elapsed())
+            return replace(outcome, status="not-core" if outcome.found else "exhausted")
+    return Outcome("core", None, clock.nodes, clock.elapsed())
 
 
 # certificates

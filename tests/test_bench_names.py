@@ -11,7 +11,9 @@ import importlib.util
 from pathlib import Path
 
 import kneser_lab
-from kneser_lab import budget, harness
+from kneser_lab import budget, harness, homsolver
+from kneser_lab.families import cycle_power
+from kneser_lab.graphs import complete_graph
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -29,6 +31,15 @@ def test_traced_functions_exist():
 
 def test_traced_suites_exist():
     assert set(tracing.SUITES) <= set(harness.SUITES)
+
+
+def test_outcome_attributes_the_workloads_read():
+    # perfbench/workloads.py reads these from find_homomorphism and is_core outcomes
+    c6 = cycle_power(6, 1)
+    for outcome in (homsolver.find_homomorphism(c6, complete_graph(2)), homsolver.is_core(c6)):
+        assert isinstance(outcome.status, str) and isinstance(outcome.nodes, int)
+        assert isinstance(outcome.found, bool)
+        assert outcome.homomorphism.mapping == outcome.witness.mapping
 
 
 def test_package_root_budget_types():

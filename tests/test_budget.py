@@ -1,6 +1,6 @@
 import pytest
 
-from kneser_lab.budget import BudgetExhausted, SearchBudget
+from kneser_lab.budget import BudgetClock, BudgetExhausted, SearchBudget
 
 
 @pytest.mark.parametrize(
@@ -19,7 +19,7 @@ from kneser_lab.budget import BudgetExhausted, SearchBudget
 def test_budget_trips_at_pinned_counts(node_limit, time_limit, nodes):
     # the node limit trips one node past it; the wall clock is read only at
     # multiples of 2048 nodes
-    clock = SearchBudget(node_limit, time_limit).start()
+    clock = BudgetClock(SearchBudget(node_limit, time_limit))
     with pytest.raises(BudgetExhausted) as stop:
         for _ in range(10_000):
             clock.tick()
@@ -27,7 +27,7 @@ def test_budget_trips_at_pinned_counts(node_limit, time_limit, nodes):
 
 
 def test_time_limit_is_read_every_2048_nodes():
-    clock = SearchBudget(None, 1.0).start()
+    clock = BudgetClock(SearchBudget(None, 1.0))
     reads = []
 
     def elapsed():
@@ -43,7 +43,7 @@ def test_time_limit_is_read_every_2048_nodes():
 
 
 def test_unlimited_budget_never_trips():
-    clock = SearchBudget(None, None).start()
+    clock = BudgetClock(SearchBudget(None, None))
     for _ in range(5000):
         clock.tick()
     assert clock.nodes == 5000

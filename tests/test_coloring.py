@@ -103,7 +103,7 @@ def test_dsatur_kernel_matches_max_scan_reference():
         upper, greedy = reference_dsatur(g)
         assert _dsatur(g, g.order, lambda: None) == greedy
         for k in range(clique_number(g).size, upper + 1):
-            old, new = SearchBudget(None, None).start(), SearchBudget(None, None).start()
+            old, new = BudgetClock(SearchBudget(None, None)), BudgetClock(SearchBudget(None, None))
             assert _dsatur(g, k, new.tick) == reference_dsatur(g, k, old)
             assert new.nodes == old.nodes
 
@@ -235,7 +235,7 @@ def test_criticality_spends_one_budget():
     result = chromatic_number(g)
     costs = [result.nodes]
     for v in sorted(set(orbit_leaders(g))):
-        clock = SearchBudget(node_limit=None, time_limit=None).start()
+        clock = BudgetClock(SearchBudget(node_limit=None, time_limit=None))
         _colorable(delete_vertex(g, v), result.chi - 1, clock.tick)
         costs.append(clock.nodes)
     assert costs == [27, 13, 9]

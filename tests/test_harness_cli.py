@@ -1,19 +1,20 @@
 import hashlib
 import json
 import random
+import re
 import shlex
 import time
 from pathlib import Path
 
 import pytest
 
-from kneser_lab import cli, coloring, dihedral, families, harness
+from kneser_lab import cli, coloring, dihedral, families, harness, homsolver
 from kneser_lab.budget import SearchBudget
 from kneser_lab.claims import CLAIMS
 from kneser_lab.cliques import clique_number, independence_number
 from kneser_lab.dimacs import dimacs_dumps, dimacs_loads, read_dimacs
 from kneser_lab.families import parse_family_spec, stable_kneser
-from kneser_lab.graphs import induced_subgraph, make_graph
+from kneser_lab.graphs import complete_graph, induced_subgraph, make_graph
 from kneser_lab.isomorphism import verify_isomorphism
 from kneser_lab.labels import KSubset
 
@@ -156,12 +157,21 @@ def test_stable_pair_structures():
 
 def test_manifest_is_configuration(tmp_path):
     manifest = harness.load_manifest()
-    manifest["chi_instances"] = [{"spec": "kneser:n=5,k=2", "chi": 3}]
+    manifest["chi_instances"] = [{"spec": "kneser:n=5,k=2"}]
     manifest["chi_lower_bound_s"] = []
     path = tmp_path / "small.json"
     path.write_text(json.dumps(manifest))
     reports = harness.run_chi_suite(manifest=harness.load_manifest(str(path)))
     assert len(reports) == 1 and reports[0].status == "pass"
+
+
+def test_search_row_keeps_a_found_map_as_a_certificate():
+    # a "none" claim whose search finds a map fails, and the map is checkable evidence
+    c6, k2 = families.cycle_power(6, 1), complete_graph(2)
+    row = harness._search_row("homidem-negative-search", {}, "none", None, c6, k2)
+    assert (row.status, row.computed) == ("fail", "found")
+    assert homsolver.check_certificate(row.evidence["witness"], c6, k2)
+    assert row.evidence["image_size"] == 2
 
 
 def test_unknown_suite_rejected():
@@ -296,6 +306,34 @@ def test_cli_chi_core_hom_iso(capsys):
     assert "isomorphic" in capsys.readouterr().out
     assert cli.main(["iso", "cyclepow:n=6,a=1", "kneser:n=4,k=2"]) == 0
     assert "not isomorphic" in capsys.readouterr().out
+
+
+_C6_CERT = (
+    '{"kind": "homomorphism", "map": [1, 2, 1, 2, 1, 2], "nodes": 7, "seconds": S, '
+    '"source": {"digest": "79dc2cd5da97a589", "edges": 6, "order": 6}, '
+    '"target": {"digest": "79dc2cd5da97a589", "edges": 6, "order": 6}, "verified": true}'
+)
+_C5_PETERSEN_CERT = (
+    '{"kind": "homomorphism", "map": [0, 7, 3, 4, 9], "nodes": 9, "seconds": S, '
+    '"source": {"digest": "3a1cfbd4cd576f42", "edges": 5, "order": 5}, '
+    '"target": {"digest": "409159ebfa6a45e1", "edges": 15, "order": 10}, "verified": true}'
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout",
+    [
+        (["core", "cyclepow:n=6,a=1"], 0, f"not-core\n{_C6_CERT}\n"),
+        (["core", "stable:n=8,k=2,s=3"], 0, "core\n"),
+        (["hom", "cyclepow:n=5,a=1", "kneser:n=5,k=2"], 0, f"found\n{_C5_PETERSEN_CERT}\n"),
+        (["--budget", "10,", "core", "stable:n=8,k=2,s=3"], 3, "exhausted after 11 nodes\n"),
+    ],
+    ids=["not-core", "core", "found", "exhausted"],
+)
+def test_cli_core_and_hom_stdout_is_pinned(capsys, argv, code, stdout):
+    # the status line, then the certificate of a map found; only its seconds vary
+    assert cli.main(argv) == code
+    assert re.sub(r'"seconds": [^,]+', '"seconds": S', capsys.readouterr().out) == stdout
 
 
 def test_cli_chi_certificate_carries_the_search_time(monkeypatch, capsys):
@@ -482,7 +520,7 @@ def test_cli_small_budget_never_crashes(argv, code, capsys):
 @pytest.mark.parametrize(
     "inst",
     [
-        {"spec": "stable:n=9,k=2,s=3", "chi": 6},  # only conjectured
+        {"spec": "stable:n=9,k=2,s=3"},  # only conjectured
     ],
 )
 def test_cli_manifest_chi_must_match_closed_form(tmp_path, capsys, inst):
@@ -492,6 +530,31 @@ def test_cli_manifest_chi_must_match_closed_form(tmp_path, capsys, inst):
     path.write_text(json.dumps(manifest))
     assert cli.main(["verify", "chi", "--manifest", str(path)]) == 64
     assert "closed form" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "suite, section, value, key",
+    [
+        ("chi", "chi_instances", [{"spec": "stable:n=6,k=2,s=2", "critcal": True}], "critcal"),
+        ("chi", "chi_instances", [{"spec": "kneser:n=5,k=2", "chi": 4}], "chi"),
+        ("cores", "core_instances", [{"spec": "kneser:n=5,k=2", "core": True, "order": 10}], "order"),
+        ("shifts", "shift_grid", {"k_values": [2], "s_values": [2], "n_cap": 6, "ncap": 8}, "ncap"),
+        ("homidem", "hom_negative_pair_family", [{"s": 3, "n": 8}], "n"),
+        ("cores", "core_instance", [], "core_instance"),
+    ],
+    ids=["critcal", "stale chi", "order", "ncap", "pair family n", "section"],
+)
+def test_cli_manifest_keys_no_suite_reads_exit_64(tmp_path, capsys, suite, section, value, key):
+    # a misspelt or stale key would otherwise drop its check without a word
+    manifest = harness.load_manifest()
+    manifest[section] = value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert cli.main(["verify", suite, "--manifest", str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"kneser-lab: error: manifest key {key!r} ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

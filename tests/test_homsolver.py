@@ -171,6 +171,15 @@ def test_cores_small():
     assert len(out.witness.image()) < 6
 
 
+def test_hom_and_core_searches_return_one_outcome_type():
+    c6 = cycle_graph(6)
+    hom, core = find_homomorphism(c6, complete_graph(2)), is_core(c6)
+    assert type(hom) is type(core) is homsolver.Outcome
+    assert (hom.status, core.status) == ("found", "not-core")
+    for outcome in (hom, core):
+        assert outcome.homomorphism is outcome.witness is not None
+
+
 def test_not_core_witness_must_miss_a_vertex(monkeypatch):
     # the identity is an endomorphism, but it proves nothing about cores
     identity = lambda doms, enforce, clock, sym: tuple(range(len(doms)))
