@@ -3,15 +3,17 @@
 `_run_search` is the one backtracking skeleton over per-vertex candidate
 bitsets, on the clock of the public call; arc consistency narrows the domains
 at every node of every search: a changed domain of v cuts each neighbour of v
-to the union of the target neighbourhoods of v's candidates. Homomorphism and
-core searches differ only in their start domains; `isomorphism` runs it on
-edges and on non-edges. Each public call verifies the target's label symmetry
-once, with `label_orbits`; the search breaks it at every node, and the core
-test bans one vertex v per orbit and searches under v's stabiliser.
+to the union of the target neighbourhoods of v's candidates. `isomorphism`
+runs it on edges and on non-edges. Each public call verifies the target's
+label symmetry once, with `label_orbits`. A homomorphism search breaks that
+symmetry at every node. The core test bans one vertex v per orbit and
+searches only idempotent endomorphisms, propagated by arc consistency and
+the two rules of `_retraction_rules`.
 A negative answer only follows a completed search; every positive answer and
 loaded certificate passes the map checker `graphs.verify_homomorphism`, and a
-"not-core" endomorphism is checked to miss a vertex. Both searches return one
-`Outcome` type; its `homomorphism` is a read-only alias of `witness`.
+"not-core" endomorphism is checked to be idempotent and to miss a vertex.
+Both searches return one `Outcome` type; its `homomorphism` is a read-only
+alias of `witness`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from functools import reduce
+from itertools import compress
+from operator import ne
 
 from .budget import BudgetClock, BudgetExhausted, SearchBudget
 from .dihedral import label_orbits
@@ -197,26 +201,76 @@ def find_homomorphism(g: Graph, h: Graph, budget: SearchBudget | None = None) ->
     return _solve(g, h, [(1 << h.order) - 1] * g.order, _arc_consistency(g, h), clock, sym)
 
 
+def _retraction_rules(enforce, n: int):
+    """`enforce` of g -> g narrowed to idempotent maps: arc consistency and two
+    rules run to one joint fixpoint. A vertex whose domain is {y} sends y to
+    y, so y's domain becomes {y}; a y that leaves its own domain is no fixed
+    point, so no vertex maps to y and y leaves every domain.
+
+    `seen` holds the domains the rules last looked at, so each round visits
+    only the vertices the caller or arc consistency changed since: the new
+    singletons and the vertices that just lost their own value. A vertex the
+    caller changed came from an unknown superset of its domain, so it reads
+    as having lost its own value whenever it lacks it."""
+    vertices = range(n)
+
+    def retract(doms: list[int], seeds) -> bool:
+        seen = doms.copy()
+        for u in seeds:
+            seen[u] = -1
+        while True:
+            if not enforce(doms, seeds):
+                return False
+            seeds = set()
+            for u in list(compress(vertices, map(ne, doms, seen))):
+                d, was = doms[u], seen[u]
+                seen[u] = d
+                if not d & (d - 1):  # u -> y, so y -> y
+                    y = d.bit_length() - 1
+                    if doms[y] != d:
+                        if not doms[y] & d:
+                            return False
+                        doms[y] = d
+                        seeds.add(y)
+                if was >> u & 1 and not d >> u & 1:  # u is no fixed point
+                    bit = 1 << u
+                    for w in list(compress(vertices, map(bit.__and__, doms))):
+                        new = doms[w] ^ bit
+                        if not new:
+                            return False
+                        doms[w] = new
+                        seeds.add(w)
+            if not seeds:
+                return True
+
+    return retract
+
+
 def is_core(g: Graph, budget: SearchBudget | None = None) -> Outcome:
     """Exhaustively decide whether every endomorphism of g is surjective.
 
-    g fails to be a core exactly when some endomorphism misses a vertex. If
-    f misses sigma(v) for sigma in the group `label_orbits(g)` verifies,
-    then sigma^-1 after f misses v, so only the least vertex of each orbit
-    is banned, in turn and all searches on one clock, each under the
-    stabiliser of v.
+    g fails to be a core exactly when some endomorphism f misses a vertex v.
+    Then a power e = f^m is idempotent, a retraction onto its image, and
+    misses v too, as its image lies in f's (Hell & Nesetril, Discrete Math.
+    109, 1992); so the search with v banned keeps only idempotent maps
+    (`_retraction_rules`). If e misses sigma(v) for sigma in the group
+    `label_orbits(g)` verifies, then sigma^-1 e sigma is idempotent and
+    misses v, so only the least vertex of each orbit is banned, in turn and
+    all searches on one clock. No value symmetry is broken: sigma after e is
+    not idempotent in general.
     """
     clock = BudgetClock(budget)
     full = (1 << g.order) - 1
-    enforce = _arc_consistency(g, g)
-    leader, fixing, *_ = label_orbits(g) or (range(g.order), lambda v: ())
+    enforce = _retraction_rules(_arc_consistency(g, g), g.order)
+    leader = (label_orbits(g) or (range(g.order),))[0]
     for v, lead in enumerate(leader):
         if lead < v:
             continue
-        sym = _symmetry(fixing(v), range(g.order))
-        outcome = _solve(g, g, [full & ~(1 << v)] * g.order, enforce, clock, sym)
-        if outcome.found and len(outcome.witness.image()) == g.order:
-            raise RuntimeError("core search produced an endomorphism that misses no vertex")
+        outcome = _solve(g, g, [full & ~(1 << v)] * g.order, enforce, clock, None)
+        if outcome.found:
+            mapping, image = outcome.witness.mapping, outcome.witness.image()
+            if len(image) == g.order or any(mapping[y] != y for y in image):
+                raise RuntimeError("core search produced an endomorphism that is no proper retraction")
         if outcome.status != "none":
             return replace(outcome, status="not-core" if outcome.found else "exhausted")
     return Outcome("core", None, clock.nodes, clock.elapsed())

@@ -12,20 +12,32 @@ the incremental kernel in `coloring` must reproduce node for node,
 `label_automorphism`, which turns one element's label action into a vertex
 permutation by looking each fresh image label up among g's labels: the
 reference for the permutations `dihedral.label_orbits` reads off its keys,
-and `reference_chromatic`, the chromatic search with an untimed greedy
-upper bound, whose answers `coloring.chromatic_number` must reproduce.
+`reference_chromatic`, the chromatic search with an untimed greedy
+upper bound, whose answers `coloring.chromatic_number` must reproduce, and
+`reference_is_core`, the core test that searches every endomorphism under
+the stabiliser of the banned vertex, whose statuses `homsolver.is_core`
+must reproduce.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 from itertools import combinations, permutations
 
 from kneser_lab.budget import BudgetClock
 from kneser_lab.cliques import _max_clique
 from kneser_lab.coloring import ColoringResult, _colorable
-from kneser_lab.dihedral import DihedralElement, act_on_vertex, all_elements, compose, orbit_leaders
+from kneser_lab.dihedral import (
+    DihedralElement,
+    act_on_vertex,
+    all_elements,
+    compose,
+    label_orbits,
+    orbit_leaders,
+)
 from kneser_lab.graphs import Graph, iter_bits, make_graph, verify_homomorphism
+from kneser_lab.homsolver import Outcome, _arc_consistency, _solve, _symmetry
 from kneser_lab.labels import CyclicElem, KSubset
 
 
@@ -183,6 +195,24 @@ def brute_retraction_exists(g: Graph, keep) -> bool:
         return False
 
     return extend(0)
+
+
+def reference_is_core(g: Graph) -> Outcome:
+    """The core test over all endomorphisms: for the least vertex v of each
+    verified orbit, a homomorphism search g -> g with v banned, breaking the
+    value symmetry of v's stabiliser at every node, all on one clock."""
+    clock = BudgetClock(None)
+    full = (1 << g.order) - 1
+    enforce = _arc_consistency(g, g)
+    leader, fixing, *_ = label_orbits(g) or (range(g.order), lambda v: ())
+    for v, lead in enumerate(leader):
+        if lead < v:
+            continue
+        sym = _symmetry(fixing(v), range(g.order))
+        outcome = _solve(g, g, [full & ~(1 << v)] * g.order, enforce, clock, sym)
+        if outcome.status != "none":
+            return replace(outcome, status="not-core" if outcome.found else "exhausted")
+    return Outcome("core", None, clock.nodes, clock.elapsed())
 
 
 def brute_isomorphic(g: Graph, h: Graph) -> bool:

@@ -220,15 +220,14 @@ def _untimed_digest(reports) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-VERIFY_ALL_DIGEST = "49734430ae7bd6a6"
+VERIFY_ALL_DIGEST = "b9d906c29d1de793"
 
 
 def test_verify_all_report_digest():
     # Pins the whole `verify all --json` content except timings; a change
     # that alters verify output must update this digest and say why. Last
-    # moved when the greedy colouring pass went onto the clock: the `nodes`
-    # of the eight chi-exact colouring certificates rose by order + 1 where
-    # greedy was optimal, and no answer or colouring changed.
+    # moved when the core test began to search only idempotent maps: the
+    # `nodes` of the core-status rows fell, and no answer changed.
     assert _untimed_digest(harness.run_all()) == VERIFY_ALL_DIGEST
 
 
@@ -242,10 +241,10 @@ def test_answers_do_not_depend_on_the_environment(monkeypatch):
 def test_verify_homidem_square_report_digest():
     # Pins `verify homidem --square --json` except timings, which adds the
     # three direct square searches (28, 42 and 153 nodes) that `verify all`
-    # leaves out. Last moved with the verify-all digest, and by the
-    # evidence.nodes of those three homidem-square-search rows.
+    # leaves out. Last moved with the verify-all digest, by the nodes of its
+    # core-status row.
     reports = harness.run_hom_idempotence_suite(include_square_search=True)
-    assert _untimed_digest(reports) == "1bf9c98e0ec2487b"
+    assert _untimed_digest(reports) == "1f4c0cbdae80b883"
 
 
 def test_verify_json_deterministic():
@@ -309,7 +308,7 @@ def test_cli_chi_core_hom_iso(capsys):
 
 
 _C6_CERT = (
-    '{"kind": "homomorphism", "map": [1, 2, 1, 2, 1, 2], "nodes": 7, "seconds": S, '
+    '{"kind": "homomorphism", "map": [2, 1, 2, 1, 2, 1], "nodes": 8, "seconds": S, '
     '"source": {"digest": "79dc2cd5da97a589", "edges": 6, "order": 6}, '
     '"target": {"digest": "79dc2cd5da97a589", "edges": 6, "order": 6}, "verified": true}'
 )

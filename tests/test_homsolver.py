@@ -11,6 +11,7 @@ from helpers import (
     cycle_graph,
     random_graph,
     reference_arc_consistency,
+    reference_is_core,
     strip_labels,
 )
 from kneser_lab import homsolver
@@ -151,16 +152,87 @@ def test_no_retraction_off_the_clique_block():
 
 
 def test_is_core_agrees_with_brute_endomorphisms():
-    # g is a core exactly when no map g -> g - v exists for any vertex v
+    # g is a core exactly when no map g -> g - v exists for any vertex v. The
+    # statuses match the search over all endomorphisms, and every witness is
+    # a retraction: it fixes its image, which misses a vertex
     rng = random.Random(61)
-    for _ in range(30):
-        g = random_graph(rng, rng.randint(0, 7), rng.choice([0.3, 0.5, 0.7]))
+    non_cores = 0
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(0, 9), rng.choice([0.3, 0.5, 0.7]))
         out = is_core(g)
-        misses = any(brute_homomorphism_exists(g, delete_vertex(g, v)) for v in range(g.order))
-        assert out.status == ("not-core" if misses else "core")
+        assert out.status == reference_is_core(g).status
+        if g.order <= 6:
+            misses = any(brute_homomorphism_exists(g, delete_vertex(g, v)) for v in range(g.order))
+            assert out.status == ("not-core" if misses else "core")
         if out.witness is not None:
-            assert verify_homomorphism(g, g, out.witness.mapping)
-            assert len(out.witness.image()) < g.order
+            non_cores += 1
+            m = out.witness.mapping
+            assert verify_homomorphism(g, g, m)
+            assert all(m[m[x]] == m[x] for x in range(g.order))
+            assert len(set(m)) < g.order and brute_retraction_exists(g, set(m))
+    assert 100 < non_cores < 300
+
+
+def _reference_retraction_fixpoint(g, doms):
+    """Arc consistency and the two retraction rules, each applied in full
+    until nothing changes: the domains as sets, or None on a wipe-out."""
+    doms = [set(d) for d in doms]
+    while True:
+        doms = reference_arc_consistency(g, g, doms)
+        if doms is None:
+            return None
+        new = [set(d) for d in doms]
+        for d in doms:
+            if len(d) == 1:
+                (y,) = d
+                new[y] &= d
+        fixed = {y for y in range(g.order) if y in new[y]}
+        new = [d & fixed for d in new]
+        if not all(new):
+            return None
+        if new == doms:
+            return doms
+        doms = new
+
+
+def test_retraction_rules_reach_the_joint_fixpoint():
+    # from random start domains, and again after the search's own kind of
+    # change (one domain narrowed, here or to a singleton, passed as the seed)
+    rng = random.Random(31)
+
+    def check(g, enforce, doms, seeds):
+        expected = _reference_retraction_fixpoint(g, [set(iter_bits(d)) for d in doms])
+        ok = enforce(doms, seeds)
+        assert ok == (expected is not None)
+        assert not ok or [set(iter_bits(d)) for d in doms] == expected
+        return ok
+
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 9), rng.choice([0.3, 0.5, 0.7]))
+        n = g.order
+        enforce = homsolver._retraction_rules(homsolver._arc_consistency(g, g), n)
+        doms = [rng.getrandbits(n) | 1 << rng.randrange(n) for _ in range(n)]
+        if not check(g, enforce, doms, range(n)):
+            continue
+        for _ in range(3):
+            wide = [u for u in range(n) if doms[u].bit_count() > 1]
+            if not wide:
+                break
+            u = rng.choice(wide)
+            values = list(iter_bits(doms[u]))
+            keep = rng.sample(values, rng.choice([1, rng.randint(1, len(values) - 1)]))
+            doms = doms.copy()
+            doms[u] = sum(1 << y for y in keep)
+            if not check(g, enforce, doms, (u,)):
+                break
+
+
+def test_complete_graph_is_a_core_within_few_nodes():
+    # arc consistency alone cannot see that K20 has no map into 19 vertices,
+    # and the search over all endomorphisms needs about 20! nodes; a retraction
+    # fixes each value it takes, and a vertex sent elsewhere leaves every domain
+    out = is_core(complete_graph(20), SearchBudget(5_000, None))
+    assert out.status == "core" and out.nodes <= 5_000
 
 
 def test_cores_small():
@@ -186,6 +258,15 @@ def test_not_core_witness_must_miss_a_vertex(monkeypatch):
     monkeypatch.setattr(homsolver, "_run_search", identity)
     with pytest.raises(RuntimeError):
         is_core(cycle_graph(5))
+
+
+def test_not_core_witness_must_be_idempotent(monkeypatch):
+    # x -> (x + 1) mod 2 maps C6 onto an edge and misses four vertices, but
+    # swaps the ends of that edge, so it is no retraction
+    swap = lambda doms, enforce, clock, sym: tuple((x + 1) % 2 for x in range(len(doms)))
+    monkeypatch.setattr(homsolver, "_run_search", swap)
+    with pytest.raises(RuntimeError):
+        is_core(cycle_graph(6))
 
 
 def test_core_retract_duality():
@@ -442,10 +523,10 @@ def test_hom_refute_trees_are_pinned():
         ("none", 42),
         ("none", 153),
         ("none", 754),
-        ("core", 248),
-        ("core", 638),
-        ("core", 585),
-        ("core", 67),
+        ("core", 121),
+        ("core", 154),
+        ("core", 211),
+        ("core", 43),
     ]
 
 
