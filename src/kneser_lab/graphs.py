@@ -2,6 +2,9 @@
 
 Vertices are 0..order-1; row u of `adj` is an int whose bit v says u~v.
 All operations return fresh Graph values; nothing here mutates.
+
+`verify_homomorphism`, the one map checker, checks a map into a smaller graph
+fibre by fibre and any other map row by row.
 """
 
 from __future__ import annotations
@@ -85,10 +88,15 @@ def complete_graph(n: int) -> Graph:
 def verify_homomorphism(g: Graph, h: Graph, mapping) -> bool:
     """Independent check that mapping sends every edge of g to an edge of h.
 
-    A row whose degree exceeds its byte count is checked as one set: the
-    images of its neighbours, ORed from tables of 16 masks per 4 source
-    vertices (each filled the first time a row reads it), must lie in the
-    row of its own image. Sparser rows are walked edge by edge.
+    A map into fewer vertices (never injective) is checked by fibres: the OR
+    of the rows of y's fibre must lie in the union of the fibres of y's
+    neighbours in h. An edge u ~ w with f(u) = y then has w in the fibre of
+    some z ~ y, so f(w) ~ f(u); the converse is immediate. That costs g.order
+    ORs and at most one pass over the rows of the image. Other maps are
+    checked row by row: a row whose degree exceeds its byte count is checked
+    as one set, the images of its neighbours, ORed from tables of 16 masks
+    per 4 source vertices (each filled the first time a row reads it), against
+    the row of its own image. Sparser rows are walked edge by edge.
     Automorphisms, isomorphisms, colourings (maps into K_c) and cliques (maps
     from K_m) are all checked through it; it shares nothing with the searches.
     """
@@ -97,6 +105,21 @@ def verify_homomorphism(g: Graph, h: Graph, mapping) -> bool:
     if any(type(m) is not int or not 0 <= m < h.order for m in mapping):
         return False
     hadj = h.adj
+    if h.order < g.order:
+        fibre = [0] * h.order
+        reach = [0] * h.order
+        for u, grow in enumerate(g.adj):
+            y = mapping[u]
+            fibre[y] |= 1 << u
+            reach[y] |= grow
+        for y, out in enumerate(reach):
+            if out:
+                pulled = 0
+                for z in iter_bits(hadj[y]):
+                    pulled |= fibre[z]
+                if out & ~pulled:
+                    return False
+        return True
     nbytes = (g.order + 7) // 8
     tables = [None] * nbytes  # tables[j]: the image table of byte j, vertices 8j..8j+7
     for u, grow in enumerate(g.adj):

@@ -296,13 +296,16 @@ def test_criticality_audit_nodes_are_pinned(text, nodes):
 
 
 def test_improper_colouring_is_refused(monkeypatch):
-    # a search that colours K2 with one colour is caught by the re-check,
-    # in the chromatic number and in a deletion of the audit alike
+    # a search that colours K2 or C7 with one colour is caught by the
+    # re-check, in the chromatic number and in a deletion of the audit alike;
+    # C7 into K2 is a map into fewer vertices, which the checker takes by fibres
     real = coloring._dsatur
-    faulty = lambda g, k, tick: (0,) * g.order if g.order == 2 else real(g, k, tick)
+    faulty = lambda g, k, tick: (0,) * g.order if g.order in (2, 7) else real(g, k, tick)
     monkeypatch.setattr(coloring, "_dsatur", faulty)
     with pytest.raises(RuntimeError):
         chromatic_number(complete_graph(2))
+    with pytest.raises(RuntimeError):
+        chromatic_number(cycle_graph(7))
     assert chromatic_number(complete_graph(3)).chi == 3
     with pytest.raises(RuntimeError):
         is_chi_critical(complete_graph(3))

@@ -29,6 +29,7 @@ from kneser_lab.graphs import (
     make_graph,
     verify_homomorphism,
 )
+from kneser_lab.homsolver import find_homomorphism
 from kneser_lab.isomorphism import are_isomorphic
 
 
@@ -225,6 +226,58 @@ def test_map_checker_matches_edge_by_edge_reference(monkeypatch):
     dense = [g.degree(u) > (g.order + 7) // 8 for g, _, _ in checks for u in range(g.order)]
     assert dense.count(True) > 1000 and dense.count(False) > 1000
     assert len(tables) > 1000
+
+
+def _fibre_checks(rng):
+    """(g, h, mapping) triples with h.order < g.order on seeded random sources
+    of order 2-70 and targets of order 1-20: a random graph pulled back
+    through a map that may miss target vertices, proper colourings into K_k,
+    constant maps, random maps, square maps the search finds, and each valid
+    map with one entry replaced."""
+    checks = []
+    for order in range(2, 71):
+        h = random_graph(rng, rng.randint(1, min(20, order - 1)), rng.choice([0.2, 0.5, 0.8]))
+        image = rng.sample(range(h.order), rng.randint(1, h.order))
+        pull = [rng.choice(image) for _ in range(order)]
+        p = rng.choice([0.3, 0.7, 1.0])
+        pulled = make_graph(order, [(u, v) for u in range(order) for v in range(u + 1, order)
+                                    if h.has_edge(pull[u], pull[v]) and rng.random() < p])
+        g = random_graph(rng, order, rng.choice([0.05, 0.2, 0.5]))
+        colours = _greedy_colouring(g)
+        k = max(colours) + 1
+        const = [rng.randrange(h.order)] * order
+        checks += [
+            (pulled, h, pull),
+            (pulled, h, _corrupted(rng, pull, h.order)),
+            (g, h, [rng.randrange(h.order) for _ in range(order)]),
+            (g, h, const),
+            (empty_graph(order), h, const),
+        ]
+        if k < order:
+            checks += [(g, complete_graph(k), colours),
+                       (g, complete_graph(k), _corrupted(rng, colours, k))]
+    for base in (cycle_graph(5), complete_graph(3), stable_kneser(7, 3, 2), stable_kneser(7, 2, 3)):
+        square = cartesian_product(base, base)
+        found = list(find_homomorphism(square, base).homomorphism.mapping)
+        checks += [(square, base, found)] + [(square, base, _corrupted(rng, found, base.order))
+                                               for _ in range(5)]
+    return checks
+
+
+def test_fibre_check_matches_edge_by_edge_reference():
+    # maps into fewer vertices are checked fibre by fibre; a malformed entry
+    # is refused before any edge is read
+    rng = random.Random(32)
+    verdicts = []
+    for g, h, mapping in _fibre_checks(rng):
+        assert h.order < g.order
+        verdict = verify_homomorphism(g, h, mapping)
+        assert verdict == reference_is_homomorphism(g, h, mapping)
+        verdicts.append(verdict)
+        u = rng.randrange(g.order)
+        for bad in (float(mapping[u]), True, None, str(mapping[u]), -1, h.order):
+            assert not verify_homomorphism(g, h, mapping[:u] + [bad] + mapping[u + 1:])
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
 
 
 def test_induced_subgraph_full_is_identity():

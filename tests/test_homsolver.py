@@ -269,6 +269,30 @@ def test_not_core_witness_must_be_idempotent(monkeypatch):
         is_core(cycle_graph(6))
 
 
+@pytest.mark.parametrize(
+    "g, h",
+    [
+        pytest.param(cartesian_product(stable_kneser(7, 3, 2), stable_kneser(7, 3, 2)),
+                     stable_kneser(7, 3, 2), id="square-into-smaller-fibres"),
+        pytest.param(cycle_graph(6), cycle_graph(6), id="equal-order-per-row"),
+    ],
+)
+def test_found_map_must_pass_the_checker(monkeypatch, g, h):
+    # a search that returns its map with vertex 0 sent onto a neighbour's
+    # image is caught by the re-check on the fibre and the per-row branch
+    real = homsolver._run_search
+
+    def corrupted(doms, enforce, clock, sym):
+        found = list(real(doms, enforce, clock, sym))
+        found[0] = found[next(iter_bits(g.adj[0]))]
+        return tuple(found)
+
+    assert find_homomorphism(g, h).status == "found"
+    monkeypatch.setattr(homsolver, "_run_search", corrupted)
+    with pytest.raises(RuntimeError):
+        find_homomorphism(g, h)
+
+
 def test_core_retract_duality():
     from kneser_lab.families import kneser
 
