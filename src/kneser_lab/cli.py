@@ -48,9 +48,9 @@ def _load_graph(text: str) -> Graph:
 
 def _parse_range(flag: str, text: str) -> list[int]:
     """The integers a..b of "a:b", or [a] of "a"; an empty range is an error."""
-    lo, _, hi = text.partition(":")
+    lo, colon, hi = text.partition(":")
     try:
-        values = list(range(int(lo), int(hi or lo) + 1))
+        values = list(range(int(lo), int(hi if colon else lo) + 1))
     except ValueError:
         values = []
     if not values:

@@ -3,8 +3,7 @@
 Vertices are 0..order-1; row u of `adj` is an int whose bit v says u~v.
 All operations return fresh Graph values; nothing here mutates.
 
-`verify_homomorphism`, the one map checker, checks a map into a smaller graph
-fibre by fibre and any other map row by row.
+`verify_homomorphism`, the one map checker, checks every map fibre by fibre.
 """
 
 from __future__ import annotations
@@ -88,72 +87,62 @@ def complete_graph(n: int) -> Graph:
 def verify_homomorphism(g: Graph, h: Graph, mapping) -> bool:
     """Independent check that mapping sends every edge of g to an edge of h.
 
-    A map into fewer vertices (never injective) is checked by fibres: the OR
-    of the rows of y's fibre must lie in the union of the fibres of y's
-    neighbours in h. An edge u ~ w with f(u) = y then has w in the fibre of
-    some z ~ y, so f(w) ~ f(u); the converse is immediate. That costs g.order
-    ORs and at most one pass over the rows of the image. Other maps are
-    checked row by row: a row whose degree exceeds its byte count is checked
-    as one set, the images of its neighbours, ORed from tables of 16 masks
-    per 4 source vertices (each filled the first time a row reads it), against
-    the row of its own image. Sparser rows are walked edge by edge.
-    Automorphisms, isomorphisms, colourings (maps into K_c) and cliques (maps
-    from K_m) are all checked through it; it shares nothing with the searches.
+    The map is checked by fibres: the OR of the rows of y's fibre must lie in
+    the union of the fibres of y's neighbours in h. An edge u ~ w with
+    f(u) = y then has w in the fibre of some z ~ y, so f(w) ~ f(u); the
+    converse is immediate. One pass over g builds the fibres and their ORs
+    (the first preimage of y stores its own row, so an injective map copies
+    none); then each row of h with a non-empty pull-back is read once. A row
+    of h with more bits than bytes is pulled back through tables of 16 fibre
+    unions per 4 targets, each filled the first time a row reads it; sparser
+    rows are walked bit by bit. Automorphisms, isomorphisms, colourings (maps
+    into K_c), cliques (maps from K_m) and square maps are all checked through
+    it; it shares nothing with the searches.
     """
     if len(mapping) != g.order:
         return False
     if any(type(m) is not int or not 0 <= m < h.order for m in mapping):
         return False
-    hadj = h.adj
-    if h.order < g.order:
-        fibre = [0] * h.order
-        reach = [0] * h.order
-        for u, grow in enumerate(g.adj):
-            y = mapping[u]
+    fibre = [0] * h.order
+    reach = [0] * h.order
+    for u, grow in enumerate(g.adj):
+        y = mapping[u]
+        if fibre[y]:
             fibre[y] |= 1 << u
             reach[y] |= grow
-        for y, out in enumerate(reach):
-            if out:
-                pulled = 0
-                for z in iter_bits(hadj[y]):
-                    pulled |= fibre[z]
-                if out & ~pulled:
-                    return False
-        return True
-    nbytes = (g.order + 7) // 8
-    tables = [None] * nbytes  # tables[j]: the image table of byte j, vertices 8j..8j+7
-    for u, grow in enumerate(g.adj):
-        row = hadj[mapping[u]]
-        if grow.bit_count() > nbytes:
-            image = 0
-            for j, byte in enumerate(grow.to_bytes(nbytes, "little")):
-                if byte:
-                    table = tables[j]
-                    if table is None:
-                        table = tables[j] = _byte_image_table(mapping, 8 * j)
-                    image |= table[byte & 15] | table[16 + (byte >> 4)]
-            if image & ~row:
-                return False
         else:
-            rest = grow >> u  # each edge once, as u ~ u + d
-            while rest:
-                low = rest & -rest
-                if not row >> mapping[u + low.bit_length() - 1] & 1:
-                    return False
-                rest ^= low
+            fibre[y] = 1 << u
+            reach[y] = grow
+    nbytes = (h.order + 7) // 8
+    tables = [None] * nbytes  # tables[j]: the fibre table of byte j, targets 8j..8j+7
+    for y, out in enumerate(reach):
+        if out:
+            row = h.adj[y]
+            pulled = 0
+            if row.bit_count() > nbytes:
+                for j, byte in enumerate(row.to_bytes(nbytes, "little")):
+                    if byte:
+                        table = tables[j]
+                        if table is None:
+                            table = tables[j] = _fibre_table(fibre, 8 * j)
+                        pulled |= table[byte & 15] | table[16 + (byte >> 4)]
+            else:
+                for z in iter_bits(row):
+                    pulled |= fibre[z]
+            if out & ~pulled:
+                return False
     return True
 
 
-def _byte_image_table(mapping, base: int) -> list[int]:
-    """Entry x < 16 is the set of images of the vertices base + i for the bits
-    i of x, and entry 16 + x the same for base + 4 + i; bits past the last
-    vertex add nothing."""
+def _fibre_table(fibre, base: int) -> list[int]:
+    """Entry x < 16 is the union of the fibres of the targets base + i for the
+    bits i of x, and entry 16 + x the same for base + 4 + i; bits past the
+    last target add nothing."""
     table = []
     for start in (base, base + 4):
         nibble = [0]
-        for v in range(start, min(start + 4, len(mapping))):
-            bit = 1 << mapping[v]
-            nibble += [mask | bit for mask in nibble]
+        for z in range(start, min(start + 4, len(fibre))):
+            nibble += [mask | fibre[z] for mask in nibble]
         table += nibble + [0] * (16 - len(nibble))
     return table
 

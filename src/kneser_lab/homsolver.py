@@ -330,8 +330,9 @@ def _fingerprint_matches(cert: dict, key: str, g: Graph) -> bool:
 def check_certificate(cert: dict, g: Graph, h: Graph | None = None) -> bool:
     """Re-check a loaded certificate against graphs, without re-searching.
 
-    A coloring is checked as a map into K_order, a clique of m vertices as a
-    map from K_m. A malformed certificate is rejected, never raised on.
+    A coloring with entries in 0..order-1 is checked as a map into K_{c+1},
+    c its largest colour; a clique of m vertices as a map from K_m. A
+    malformed certificate is rejected, never raised on.
     """
     kind = cert.get("kind") if isinstance(cert, dict) else None
     if kind not in ("homomorphism", "coloring", "clique"):
@@ -346,7 +347,9 @@ def check_certificate(cert: dict, g: Graph, h: Graph | None = None) -> bool:
             and verify_homomorphism(g, h, data)
         )
     if kind == "coloring":
-        return verify_homomorphism(g, complete_graph(g.order), data)
+        if any(type(c) is not int or not 0 <= c < g.order for c in data):
+            return False
+        return verify_homomorphism(g, complete_graph(max(data, default=-1) + 1), data)
     return verify_homomorphism(complete_graph(len(data)), g, data)
 
 

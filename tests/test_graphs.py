@@ -199,16 +199,16 @@ def _map_checks(rng):
 
 
 def test_map_checker_matches_edge_by_edge_reference(monkeypatch):
-    # rows denser than their byte count are checked as one image set, the
-    # rest edge by edge; orders 0-70 give partial last bytes and nibbles
+    # target rows denser than their byte count are pulled back through fibre
+    # tables, the rest bit by bit; orders 0-70 give partial last bytes and nibbles
     tables = []
-    build = graphs._byte_image_table
+    build = graphs._fibre_table
 
-    def counted(mapping, base):
+    def counted(fibre, base):
         tables.append(base)
-        return build(mapping, base)
+        return build(fibre, base)
 
-    monkeypatch.setattr(graphs, "_byte_image_table", counted)
+    monkeypatch.setattr(graphs, "_fibre_table", counted)
     rng = random.Random(24)
     checks = _map_checks(rng)
     g = stable_kneser(30, 5, 5)  # degree 371 against 95 bytes a row
@@ -223,7 +223,7 @@ def test_map_checker_matches_edge_by_edge_reference(monkeypatch):
         assert verdict == reference_is_homomorphism(g, h, mapping)
         verdicts.append(verdict)
     assert verdicts.count(True) > 100 and verdicts.count(False) > 100
-    dense = [g.degree(u) > (g.order + 7) // 8 for g, _, _ in checks for u in range(g.order)]
+    dense = [h.degree(y) > (h.order + 7) // 8 for _, h, _ in checks for y in range(h.order)]
     assert dense.count(True) > 1000 and dense.count(False) > 1000
     assert len(tables) > 1000
 

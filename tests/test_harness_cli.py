@@ -575,10 +575,16 @@ def test_cli_manifest_keys_no_suite_reads_exit_64(tmp_path, capsys, suite, secti
         "manifest not JSON",
         "probe range backwards",
         "probe range not integers",
+        "probe range without upper end",
+        "probe k range without upper end",
         "probe n at most ks",
         "probe k below 2",
         "probe s below 2",
         "probe square cap negative",
+        "spec key with two values",
+        "spec key twice",
+        "spec stray value",
+        "dimacs labels for some vertices",
     ],
 )
 def test_cli_bad_paths_and_manifests_exit_64(tmp_path, capsys, case):
@@ -614,12 +620,19 @@ def test_cli_bad_paths_and_manifests_exit_64(tmp_path, capsys, case):
         "manifest not JSON": ["verify", "chi", "--manifest", str(tmp_path / "notes.md")],
         "probe range backwards": ["probe", "--n", "12:9"],
         "probe range not integers": ["probe", "--n", "9:x"],
+        "probe range without upper end": ["probe", "--n", "9:"],
+        "probe k range without upper end": ["probe", "--n", "9", "--k", "2:", "--s", "3"],
         "probe n at most ks": ["probe", "--n", "3", "--k", "2", "--s", "3"],
         "probe k below 2": ["probe", "--n", "9", "--k", "0", "--s", "3"],
         "probe s below 2": ["probe", "--n", "9", "--k", "2", "--s", "0"],
         "probe square cap negative": ["probe", "--n", "9", "--square-cap", "-1"],
+        "spec key with two values": ["construct", "stable:n=8,9,k=2,s=3"],
+        "spec key twice": ["construct", "stable:n=8,n=9,k=2,s=3"],
+        "spec stray value": ["construct", "stable:8,k=2,s=3"],
+        "dimacs labels for some vertices": ["chi", str(tmp_path / "partial.dimacs")],
     }[case]
     (tmp_path / "notes.md").write_text("# not a manifest\n")
+    (tmp_path / "partial.dimacs").write_text("c label 1 z0@3\nc label 2 z1@3\np edge 3 0\n")
     assert cli.main(argv) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -630,10 +643,16 @@ def test_cli_bad_paths_and_manifests_exit_64(tmp_path, capsys, case):
         "manifest not JSON": str(tmp_path / "notes.md"),
         "probe range backwards": "--n '12:9'",
         "probe range not integers": "--n '9:x'",
+        "probe range without upper end": "--n '9:'",
+        "probe k range without upper end": "--k '2:'",
         "probe n at most ks": "--n/--k/--s",
         "probe k below 2": "--n/--k/--s",
         "probe s below 2": "--n/--k/--s",
         "probe square cap negative": "--square-cap",
+        "spec key with two values": "key 'n' takes a single value",
+        "spec key twice": "duplicate key 'n'",
+        "spec stray value": "stray value '8'",
+        "dimacs labels for some vertices": "cover every vertex",
     }
     assert named.get(case, "") in captured.err
 

@@ -274,12 +274,12 @@ def test_not_core_witness_must_be_idempotent(monkeypatch):
     [
         pytest.param(cartesian_product(stable_kneser(7, 3, 2), stable_kneser(7, 3, 2)),
                      stable_kneser(7, 3, 2), id="square-into-smaller-fibres"),
-        pytest.param(cycle_graph(6), cycle_graph(6), id="equal-order-per-row"),
+        pytest.param(cycle_graph(6), cycle_graph(6), id="equal-order"),
     ],
 )
 def test_found_map_must_pass_the_checker(monkeypatch, g, h):
     # a search that returns its map with vertex 0 sent onto a neighbour's
-    # image is caught by the re-check on the fibre and the per-row branch
+    # image is caught by the re-check, into a smaller target or an equal one
     real = homsolver._run_search
 
     def corrupted(doms, enforce, clock, sym):
@@ -626,6 +626,10 @@ def _loaded(**fields) -> dict:
         pytest.param(_loaded(kind="clique", clique=[7, 0]), id="clique-out-of-range"),
         pytest.param(_loaded(kind="coloring", coloring=[-1, 0, -1, 0, 1]), id="coloring-negative"),
         pytest.param(_loaded(kind="coloring", coloring=["x", 0, "x", 0, 1]), id="coloring-str"),
+        # each would be a proper colouring if read as the int 1, 2 or 5
+        pytest.param(_loaded(kind="coloring", coloring=[True, 0, 1, 0, 2]), id="coloring-bool"),
+        pytest.param(_loaded(kind="coloring", coloring=[0, 1, 0, 1, 2.0]), id="coloring-float"),
+        pytest.param(_loaded(kind="coloring", coloring=[0, 1, 0, 1, 5]), id="coloring-order"),
         pytest.param(_loaded(kind="nonsense", nonsense=[]), id="unknown-kind"),
         pytest.param(_loaded(kind="nonsense"), id="unknown-kind-no-payload"),
         pytest.param(_loaded(kind="clique"), id="missing-payload"),
@@ -635,3 +639,20 @@ def _loaded(**fields) -> dict:
 )
 def test_check_certificate_rejects_forged_and_malformed(cert):
     assert check_certificate(cert, cycle_graph(5), complete_graph(3)) is False
+
+
+def test_coloring_certificate_is_checked_into_its_colours(monkeypatch):
+    # a 3-colouring of C9 is checked as a map into K_3, not into K_9
+    orders = []
+    real = homsolver.complete_graph
+
+    def recorded(n):
+        orders.append(n)
+        return real(n)
+
+    monkeypatch.setattr(homsolver, "complete_graph", recorded)
+    g = cycle_graph(9)
+    cert = certificate("coloring", data=[0, 1, 2] * 3, source=g, verified=True)
+    assert check_certificate(cert, g)
+    assert orders == [3]
+    assert not check_certificate(dict(cert, coloring=[0, 1, 2] * 2 + [0, 1, 1]), g)

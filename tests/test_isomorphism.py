@@ -199,6 +199,17 @@ def test_exact_isomorphism_node_counts(case):
     assert verify_isomorphism(g, h, found) if isomorphic else found is None
 
 
+def test_found_bijection_must_pass_the_checker(monkeypatch):
+    # a search that returns a bijection of C6 swapping two adjacent vertices
+    # (0 1 2 3 4 5 -> 1 0 2 3 4 5 sends the edge 1 ~ 2 to the non-edge 0, 2)
+    # is caught by the re-check
+    swap = lambda doms, enforce, clock, sym: (1, 0, 2, 3, 4, 5)
+    assert are_isomorphic(cycle_graph(6), cycle_graph(6)) is not None
+    monkeypatch.setattr(isomorphism, "_run_search", swap)
+    with pytest.raises(RuntimeError):
+        are_isomorphic(cycle_graph(6), cycle_graph(6))
+
+
 def test_start_domains_are_the_colour_classes_of_h(monkeypatch):
     # each vertex of g starts with the vertices of h in its refined colour
     # class; the reference tests every pair of vertices

@@ -92,7 +92,10 @@ def test_label_text_round_trip(label):
 
 def test_dimacs_round_trip_plain():
     g = cycle_graph(6)
-    assert dimacs_loads(dimacs_dumps(g)) == g
+    text = dimacs_dumps(g)
+    assert dimacs_loads(text) == g
+    assert "e 1 2\ne " in text
+    assert dimacs_loads(text.replace("e 1 2\n", "e 1 2\n\n")) == g  # a blank line is skipped
 
 
 def test_dimacs_round_trip_with_labels():
