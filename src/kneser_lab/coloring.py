@@ -22,7 +22,7 @@ from .budget import BudgetClock, SearchBudget
 from .cliques import _max_clique
 from .dihedral import orbit_leaders
 from .families import FamilySpec
-from .graphs import Graph, complete_graph, delete_vertex, iter_bits, verify_homomorphism
+from .graphs import Graph, complete_graph, delete_vertex, row_bits, verify_homomorphism
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,12 @@ def _dsatur(g: Graph, k: int, tick) -> tuple[int, ...] | None:
     rank = [0] * n
     for r, v in enumerate(order):
         rank[v] = r
-    adj = [sum(1 << rank[w] for w in iter_bits(g.adj[v])) for v in order]
+    adj = []  # each row in rank order: one "1" per neighbour, one int() per row
+    for v in order:
+        digits = ["0"] * n
+        for r in row_bits(g.adj[v], rank):
+            digits[~r] = "1"
+        adj.append(int("".join(digits), 2))
     level = [0] * (k + 1)  # level[s]: uncoloured vertices seeing s colours
     level[0] = (1 << n) - 1
     sees = [0] * k  # sees[c]: vertices that were uncoloured when a neighbour got c

@@ -3,7 +3,11 @@
 Vertices are 0..order-1; row u of `adj` is an int whose bit v says u~v.
 All operations return fresh Graph values; nothing here mutates.
 
-`verify_homomorphism`, the one map checker, checks every map fibre by fibre.
+`iter_bits` walks a small mask one low bit at a time; `row_bits` reads a
+whole row from one `bin()` string, one step per set bit, for the callers that
+list every neighbour (the propagators' neighbour lists and DSATUR's ranked
+rows). `verify_homomorphism`, the one map checker, checks every map fibre by
+fibre.
 """
 
 from __future__ import annotations
@@ -17,11 +21,25 @@ class GraphError(ValueError):
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of mask in ascending order."""
+    """Yield the set bit positions of mask in ascending order. Each step
+    clears the low bit of the whole int, so this suits small masks; a wide row
+    is read with `row_bits`."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def row_bits(row: int, names) -> list:
+    """`names[v]` for each set bit v of row, ascending. In the reversed binary
+    string the run of 0s before each 1 is the gap to the next set bit, so the
+    walk takes one Python step per set bit, not per bit of width."""
+    out = []
+    v = -1
+    for gap in bin(row)[:1:-1].split("1")[:-1]:
+        v += len(gap) + 1
+        out.append(names[v])
+    return out
 
 
 @dataclass(frozen=True)
@@ -92,12 +110,14 @@ def verify_homomorphism(g: Graph, h: Graph, mapping) -> bool:
     f(u) = y then has w in the fibre of some z ~ y, so f(w) ~ f(u); the
     converse is immediate. One pass over g builds the fibres and their ORs
     (the first preimage of y stores its own row, so an injective map copies
-    none); then each row of h with a non-empty pull-back is read once. A row
-    of h with more bits than bytes is pulled back through tables of 16 fibre
-    unions per 4 targets, each filled the first time a row reads it; sparser
-    rows are walked bit by bit. Automorphisms, isomorphisms, colourings (maps
-    into K_c), cliques (maps from K_m) and square maps are all checked through
-    it; it shares nothing with the searches.
+    none); then each row of h with a non-empty pull-back is read once. On a
+    target of more than 16 vertices, a row of h with more bits than bytes is
+    pulled back through tables of 16 fibre unions per 4 targets, each filled
+    the first time a row reads it; sparser rows, and every row of a smaller
+    target, where building a table costs more than it saves, are walked bit by
+    bit. Automorphisms, isomorphisms, colourings (maps into K_c), cliques (maps
+    from K_m) and square maps are all checked through it; it shares nothing
+    with the searches.
     """
     if len(mapping) != g.order:
         return False
@@ -119,7 +139,7 @@ def verify_homomorphism(g: Graph, h: Graph, mapping) -> bool:
         if out:
             row = h.adj[y]
             pulled = 0
-            if row.bit_count() > nbytes:
+            if nbytes > 2 and row.bit_count() > nbytes:
                 for j, byte in enumerate(row.to_bytes(nbytes, "little")):
                     if byte:
                         table = tables[j]

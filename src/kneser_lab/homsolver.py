@@ -3,12 +3,14 @@
 `_run_search` is the one backtracking skeleton over per-vertex candidate
 bitsets, on the clock of the public call; arc consistency narrows the domains
 at every node of every search: a changed domain of v cuts each neighbour of v
-to the union of the target neighbourhoods of v's candidates. `isomorphism`
-runs it on edges and on non-edges. Each public call verifies the target's
-label symmetry once, with `label_orbits`. A homomorphism search breaks that
-symmetry at every node. The core test bans one vertex v per orbit and
-searches only idempotent endomorphisms, propagated by arc consistency and
-the two rules of `_retraction_rules`.
+to the union of the target neighbourhoods of v's candidates, tested with one
+AND against the target vertices outside that union, over neighbour lists read
+once with `graphs.row_bits`. `isomorphism` runs it on edges and on
+non-edges. Each public call verifies the target's label symmetry once, with
+`label_orbits`. A homomorphism search breaks that symmetry at every node. The
+core test bans one vertex v per orbit and searches only idempotent
+endomorphisms, propagated by arc consistency and the two rules of
+`_retraction_rules`.
 A negative answer only follows a completed search; every positive answer and
 loaded certificate passes the map checker `graphs.verify_homomorphism`, and a
 "not-core" endomorphism is checked to be idempotent and to miss a vertex.
@@ -27,7 +29,7 @@ from operator import ne
 
 from .budget import BudgetClock, BudgetExhausted, SearchBudget
 from .dihedral import label_orbits
-from .graphs import Graph, complete_graph, iter_bits, verify_homomorphism
+from .graphs import Graph, complete_graph, iter_bits, row_bits, verify_homomorphism
 
 
 @dataclass(frozen=True)
@@ -58,8 +60,8 @@ class Outcome:
 
 def _neighbour_lists(g: Graph) -> list[list[int]]:
     """Each vertex's neighbours, ascending, as lists of shared int objects."""
-    vertices = list(range(g.order))  # iter_bits makes a fresh int per entry above 256
-    return [[vertices[v] for v in iter_bits(row)] for row in g.adj]
+    vertices = list(range(g.order))  # a fresh int per entry above 256 would not be shared
+    return [row_bits(row, vertices) for row in g.adj]
 
 
 _SUPPORT_MEMO_CAP = 65_536
@@ -74,8 +76,10 @@ def _arc_consistency(g: Graph, h: Graph):
     `_SUPPORT_MEMO_CAP` supports computed are kept for every later call. A miss
     ORs one table row per byte of the domain: `table[i][byte]`, filled when
     first read, is the union of the rows of target vertices 8i + b over the
-    bits b of byte. A support that is the whole target narrows no domain, since
-    every domain is a set of target vertices, so its neighbour sweep is skipped.
+    bits b of byte. A neighbour's domain narrows only if it meets `cut`, the
+    target vertices outside the support, so each neighbour costs one AND; a
+    support that is the whole target leaves `cut` empty and its neighbour sweep
+    is skipped, since every domain is a set of target vertices.
     """
     nbrs = _neighbour_lists(g)
     full = (1 << h.order) - 1
@@ -101,14 +105,16 @@ def _arc_consistency(g: Graph, h: Graph):
                         support |= union
                 if len(memo) < _SUPPORT_MEMO_CAP:
                     memo[d] = support
-            if support == full:
+            cut = full ^ support
+            if not cut:
                 continue
             for w in nbrs[v]:
-                new = doms[w] & support
-                if new != doms[w]:
-                    if not new:
+                d = doms[w]
+                if d & cut:
+                    d &= support
+                    if not d:
                         return False
-                    doms[w] = new
+                    doms[w] = d
                     queue.add(w)
         return True
 

@@ -15,7 +15,7 @@ from helpers import (
 )
 from kneser_lab import graphs
 from kneser_lab.dihedral import act_on_vertex, rho, rotation
-from kneser_lab.families import stable_kneser
+from kneser_lab.families import circular_graph, stable_kneser
 from kneser_lab.graphs import (
     GraphError,
     cartesian_product,
@@ -27,6 +27,7 @@ from kneser_lab.graphs import (
     induced_subgraph,
     iter_bits,
     make_graph,
+    row_bits,
     verify_homomorphism,
 )
 from kneser_lab.homsolver import find_homomorphism
@@ -36,6 +37,20 @@ from kneser_lab.isomorphism import are_isomorphic
 def test_iter_bits():
     assert list(iter_bits(0)) == []
     assert list(iter_bits(0b101101)) == [0, 2, 3, 5]
+
+
+def test_row_bits_matches_iter_bits():
+    # random rows of widths 1-300 and 1,369 at densities 0, 0.05, 0.5 and 1,
+    # plus the empty row, the top bit alone and all ones at each width
+    rng = random.Random(34)
+    identity = list(range(1369))
+    for width in [*range(1, 301), 1369]:
+        rows = [0, 1 << width - 1, (1 << width) - 1]
+        rows += [sum(1 << v for v in range(width) if rng.random() < p) for p in (0, 0.05, 0.5, 1)]
+        rank = rng.sample(range(width), width)  # names that are not the identity
+        for row in rows:
+            assert row_bits(row, identity) == list(iter_bits(row))
+            assert row_bits(row, rank) == [rank[v] for v in iter_bits(row)]
 
 
 def test_make_graph_smallest_edge():
@@ -198,17 +213,24 @@ def _map_checks(rng):
     return checks
 
 
-def test_map_checker_matches_edge_by_edge_reference(monkeypatch):
-    # target rows denser than their byte count are pulled back through fibre
-    # tables, the rest bit by bit; orders 0-70 give partial last bytes and nibbles
-    tables = []
+@pytest.fixture
+def tables(monkeypatch):
+    """The `base` of every `_fibre_table` the map checker builds."""
+    built = []
     build = graphs._fibre_table
 
     def counted(fibre, base):
-        tables.append(base)
+        built.append(base)
         return build(fibre, base)
 
     monkeypatch.setattr(graphs, "_fibre_table", counted)
+    return built
+
+
+def test_map_checker_matches_edge_by_edge_reference(tables):
+    # on targets of more than 16 vertices, rows denser than their byte count
+    # are pulled back through fibre tables, the rest bit by bit; orders 0-70
+    # give partial last bytes and nibbles
     rng = random.Random(24)
     checks = _map_checks(rng)
     g = stable_kneser(30, 5, 5)  # degree 371 against 95 bytes a row
@@ -226,6 +248,19 @@ def test_map_checker_matches_edge_by_edge_reference(monkeypatch):
     dense = [h.degree(y) > (h.order + 7) // 8 for _, h, _ in checks for y in range(h.order)]
     assert dense.count(True) > 1000 and dense.count(False) > 1000
     assert len(tables) > 1000
+
+
+def test_small_targets_build_no_fibre_table(tables):
+    # a target of at most 16 vertices is walked bit by bit, as building its
+    # tables costs more than it saves; a wider target's dense rows use them
+    colouring = [u % 2 for u in range(9)] + [2]
+    assert verify_homomorphism(cycle_graph(10), complete_graph(3), colouring)
+    assert not verify_homomorphism(cycle_graph(10), complete_graph(3), [0] + colouring[1:-1] + [0])
+    assert verify_homomorphism(complete_graph(16), complete_graph(16), list(range(16)))
+    assert tables == []
+    g = circular_graph(140, 30)  # degree 81 against 18 bytes a row
+    assert verify_homomorphism(g, g, [(u + 1) % 140 for u in range(140)])
+    assert tables
 
 
 def _fibre_checks(rng):

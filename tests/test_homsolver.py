@@ -513,6 +513,18 @@ def test_byte_table_holds_only_the_entries_read():
         assert set(iter_bits(table[i][b])) == set().union(*rows)
 
 
+def test_neighbour_lists_list_each_row_with_one_object_per_vertex():
+    # past 256 every int is a fresh object unless the lists share them
+    rng = random.Random(34)
+    torus = cartesian_product(cycle_graph(17), cycle_graph(19))
+    for g in (random_graph(rng, 300, 0.05), complement(cycle_graph(600)), torus):
+        nbrs = homsolver._neighbour_lists(g)
+        assert nbrs == [list(iter_bits(row)) for row in g.adj]
+        shared = {}
+        assert all(w is shared.setdefault(w, w) for nbr in nbrs for w in nbr)
+        assert len(shared) > 256
+
+
 def test_neighbour_lists_share_one_int_per_vertex():
     # each vertex of the complement of C1200 has 1,197 neighbours; lists that
     # reference one int object per vertex peak at 11.8 MiB, where a fresh int
